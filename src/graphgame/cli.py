@@ -10,15 +10,17 @@ Commands: validate, classify, value, simulate, gyni.  Each prints a plain
     5  strategy file missing or incompatible with the game
     6  command requires the other payoff mode
 
-``--threads`` (or the GRAPHGAME_THREADS environment variable) controls
-optimizer parallelism; output is identical for any thread count.
+Every command validates the spec right after parsing and refuses an invalid
+one with the ``validate`` report lines and exit 2.  ``value --quantum``
+lower-bounds the quantum value by exact coordinate ascent over the
+measurement angles: 3 evaluations per angle and a closed-form maximizer,
+stopping once a sweep gains less than ``--tolerance``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -42,13 +44,6 @@ from .quantum import (
 from .runner import SessionConfig, StrategyMismatchError, run_session
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("GRAPHGAME_THREADS")
-    return int(env) if env else 1
-
-
 def _emit(pairs) -> None:
     sys.stdout.write(io.render_report(pairs))
 
@@ -67,21 +62,28 @@ def _load_spec(path, pairs) -> object | None:
         return None
 
 
-def cmd_validate(args) -> int:
-    pairs = [("command", "validate"), ("spec", str(args.spec))]
-    game = _load_spec(args.spec, pairs)
+def _load_valid_spec(path, pairs) -> tuple[object | None, int]:
+    """Parse and validate a spec; on failure the report lines and exit code."""
+    game = _load_spec(path, pairs)
     if game is None:
-        _emit(pairs)
-        return 3
-    violations = validate_game(game)
+        return None, 3
     pairs.append(("game_digest", io.game_digest(game)))
+    violations = validate_game(game)
     if violations:
         pairs.append(("status", "invalid"))
         pairs.append(("violations", str(len(violations))))
         for k, v in enumerate(violations):
             pairs.append((f"violation.{k}", f"[{v.code}] {v.message}"))
+        return None, 2
+    return game, 0
+
+
+def cmd_validate(args) -> int:
+    pairs = [("command", "validate"), ("spec", str(args.spec))]
+    game, code = _load_valid_spec(args.spec, pairs)
+    if game is None:
         _emit(pairs)
-        return 2
+        return code
     pairs.append(("status", "ok"))
     pairs.append(("violations", "0"))
     _emit(pairs)
@@ -90,16 +92,15 @@ def cmd_validate(args) -> int:
 
 def cmd_classify(args) -> int:
     pairs = [("command", "classify"), ("spec", str(args.spec))]
-    game = _load_spec(args.spec, pairs)
+    game, code = _load_valid_spec(args.spec, pairs)
     if game is None:
         _emit(pairs)
-        return 3
+        return code
     if not isinstance(game.payoff, ConsistencyPayoff):
         pairs.append(("status", "error"))
         pairs.append(("error", "classify requires a consistency-mode game"))
         _emit(pairs)
         return 6
-    pairs.append(("game_digest", io.game_digest(game)))
     t0 = time.perf_counter()
     result = classification.classify(game, semantics=args.semantics, budget=args.budget)
     pairs.append(("semantics", args.semantics))
@@ -116,16 +117,15 @@ def cmd_classify(args) -> int:
 
 def cmd_value(args) -> int:
     pairs = [("command", "value"), ("spec", str(args.spec))]
-    game = _load_spec(args.spec, pairs)
+    game, code = _load_valid_spec(args.spec, pairs)
     if game is None:
         _emit(pairs)
-        return 3
+        return code
     if not isinstance(game.payoff, ConsistencyPayoff):
         pairs.append(("status", "error"))
         pairs.append(("error", "value requires a consistency-mode game (see the gyni command)"))
         _emit(pairs)
         return 6
-    pairs.append(("game_digest", io.game_digest(game)))
     want_classical = args.classical or not args.quantum
     omega_c = None
     witness = None
@@ -150,10 +150,8 @@ def cmd_value(args) -> int:
             restarts=args.restarts,
             tolerance=args.tolerance,
             seed=args.seed,
-            grid_size=args.grid_size,
             pair_budget=args.pair_budget,
             allow_multiway=True,
-            threads=_threads(args),
         )
         try:
             result = optimize_quantum(game, opts)
@@ -184,11 +182,10 @@ def cmd_value(args) -> int:
 
 def cmd_simulate(args) -> int:
     pairs = [("command", "simulate"), ("spec", str(args.spec))]
-    game = _load_spec(args.spec, pairs)
+    game, code = _load_valid_spec(args.spec, pairs)
     if game is None:
         _emit(pairs)
-        return 3
-    pairs.append(("game_digest", io.game_digest(game)))
+        return code
     try:
         strategy = io.parse_strategy_file(args.strategy)
     except FileNotFoundError:
@@ -221,16 +218,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_gyni(args) -> int:
     pairs = [("command", "gyni"), ("spec", str(args.spec))]
-    game = _load_spec(args.spec, pairs)
+    game, code = _load_valid_spec(args.spec, pairs)
     if game is None:
         _emit(pairs)
-        return 3
+        return code
     if not isinstance(game.payoff, TargetPayoff):
         pairs.append(("status", "error"))
         pairs.append(("error", "gyni requires a target-mode game"))
         _emit(pairs)
         return 6
-    pairs.append(("game_digest", io.game_digest(game)))
     injective = check_injective(game.payoff.targets, game.n)
     pairs.append(("injective", "true" if injective else "false"))
     pairs.append(("classical_bound", io.fmt_float(gyni_classical_bound(game.distribution, game.n))))
@@ -244,7 +240,7 @@ def cmd_gyni(args) -> int:
         _emit(pairs)
         return 4
     pairs.append(("brute_force_value", io.fmt_float(brute)))
-    opts = OptimizeOptions(restarts=args.restarts, seed=args.seed, threads=_threads(args))
+    opts = OptimizeOptions(restarts=args.restarts, seed=args.seed)
     pairs.append(("quantum_probe", io.fmt_float(target_quantum_probe(game, opts))))
     _emit(pairs)
     return 0
@@ -277,11 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantum", action="store_true")
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--grid-size", type=int, default=16)
+    p.add_argument("--tolerance", type=float, default=OptimizeOptions.tolerance)
     p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
     p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_value)
 
     p = sub.add_parser("simulate", help="Monte Carlo referee sessions")
@@ -296,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_gyni)
 
     return parser

@@ -28,7 +28,6 @@ exists and is what the command-line tools use.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product as _iter_product
 from typing import Mapping, Optional, Sequence
@@ -104,12 +103,6 @@ class PairModel:
     pairs: tuple[tuple[str, int, int], ...]
     multiway: tuple[str, ...] = ()
 
-    def owners(self, vertex: str) -> tuple[int, int]:
-        for v, a, b in self.pairs:
-            if v == vertex:
-                return (a, b)
-        raise KeyError(vertex)
-
 
 def build_pair_model(game: GraphicGame, allow_multiway: bool = False) -> PairModel:
     owners: dict[str, set[int]] = {}
@@ -164,13 +157,10 @@ class QuantumValueResult:
 @dataclass(frozen=True)
 class OptimizeOptions:
     restarts: int = 20
-    grid_size: int = 16
-    tolerance: float = 1e-6
+    tolerance: float = 1e-12
     seed: int = 0
-    template: str = "auto"
     pair_budget: int = DEFAULT_PAIR_BUDGET
     allow_multiway: bool = False
-    threads: int = 1
     max_sweeps: int = 40
 
 
@@ -205,19 +195,16 @@ def validate_strategy(game: GraphicGame, strategy: QuantumStrategy, model: PairM
 
 
 def build_strategy(
-    game: GraphicGame, template: str = "auto", allow_multiway: bool = False
+    game: GraphicGame, allow_multiway: bool = False
 ) -> tuple[QuantumStrategy, PairModel]:
-    """Wiring template with all angles initialised to 0.
+    """The optimizer's wiring template, with all angles initialised to 0.
 
-    ``direct``: each owned pair vertex outputs its own outcome, everything
-    else outputs +1.  ``auto``: per counterpart the two owners agree on one
-    designated pair (the smallest shared pair vertex) and copy its outcome
-    to every region vertex; a high-block player with a leftover odd outcome
-    product routes it onto one of its private vertices so the total product
-    is deterministically +1.  ``auto`` is the template the optimizer uses.
+    Per counterpart the two owners agree on one designated pair (the
+    smallest shared pair vertex) and copy its outcome to every region
+    vertex; a high-block player with a leftover odd outcome product routes
+    it onto one of its private vertices so the total product is
+    deterministically +1.
     """
-    if template not in ("auto", "direct"):
-        raise StrategyError(f"unknown template {template!r}")
     model = build_pair_model(game, allow_multiway=allow_multiway)
     pair_owner = {v: (a, b) for v, a, b in model.pairs}
     all_owned: dict[str, set[int]] = {}
@@ -242,17 +229,14 @@ def build_strategy(
             exprs: dict[str, OutputExpr] = {}
             for v in owned:
                 if v in pair_owner and i in pair_owner[v]:
-                    if template == "direct":
-                        ref = v
-                    else:
-                        a, b = pair_owner[v]
-                        j = b if i == a else a
-                        ref = designated[frozenset((i, j))]
+                    a, b = pair_owner[v]
+                    j = b if i == a else a
+                    ref = designated[frozenset((i, j))]
                     exprs[v] = OutputExpr(1, (ref,))
                     refs_used[ref] = refs_used.get(ref, 0) + 1
                 else:
                     exprs[v] = OutputExpr(1, ())
-            if template == "auto" and i > game.m:
+            if i > game.m:
                 odd = tuple(sorted(r for r, c in refs_used.items() if c % 2))
                 if odd:
                     slack = next((v for v in owned if v in solo), None)
@@ -399,49 +383,59 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (c, yc) if yc > yd else (d, yd)
 
 
+def _exact_step(value_at, theta: np.ndarray, idx: int, current: float) -> float:
+    """Move ``theta[idx]`` to the exact maximum of ``value_at`` along that angle.
+
+    With every other angle fixed the value is exactly a*cos(t) + b*sin(t) + c:
+    the angle enters one pair correlator cos(t - t') per input, and the value
+    is multilinear in the correlators.  Samples at 0, pi/2 and pi fix a, b
+    and c; the maximum c + hypot(a, b) sits at atan2(b, a).  The angle moves
+    only when that maximum beats ``current``, so the ascent is monotone and
+    ties keep the angle.  Returns the new value.
+    """
+    old = theta[idx]
+    samples = []
+    for t in (0.0, 0.5 * math.pi, math.pi):
+        theta[idx] = t
+        samples.append(value_at(theta))
+    v0, v_half, v_pi = samples
+    c = 0.5 * (v0 + v_pi)
+    a = 0.5 * (v0 - v_pi)
+    b = v_half - c
+    peak = c + math.hypot(a, b)
+    if peak > current:
+        theta[idx] = math.atan2(b, a) % (2.0 * math.pi)
+        return peak
+    theta[idx] = old
+    return current
+
+
 def _ascend(ev: _Evaluator, theta: np.ndarray, opts: OptimizeOptions) -> tuple[float, bool]:
-    """Cyclic per-angle line search: grid scan then golden refinement."""
+    """Cyclic exact coordinate ascent; returns the exact value at the final angles."""
     value = ev.value(theta)
     if not len(theta):
         return value, True
-    converged = False
-    grid = [2.0 * math.pi * k / opts.grid_size for k in range(opts.grid_size)]
-    step = 2.0 * math.pi / opts.grid_size
     for _ in range(opts.max_sweeps):
         before = value
         for idx in range(len(theta)):
-            def f(t: float, idx: int = idx) -> float:
-                theta[idx] = t
-                return ev.value(theta)
-
-            best_t, best_v = theta[idx], f(theta[idx])
-            for t in grid:
-                v = f(t)
-                if v > best_v:
-                    best_t, best_v = t, v
-            t_ref, v_ref = _golden_max(f, best_t - step, best_t + step, opts.tolerance)
-            if v_ref > best_v:
-                best_t, best_v = t_ref, v_ref
-            theta[idx] = best_t
-            value = best_v
+            value = _exact_step(ev.value, theta, idx, value)
         if value - before < opts.tolerance:
-            converged = True
-            break
-    return value, converged
+            return ev.value(theta), True
+    return ev.value(theta), False
 
 
 def optimize_quantum(game: GraphicGame, options: OptimizeOptions | None = None) -> QuantumValueResult:
     """Multi-start coordinate ascent over measurement angles.
 
-    The wiring stays fixed to the selected template; only angles move.  All
-    randomness flows from ``options.seed`` (one independent substream per
-    restart), so results are identical for any thread count.  The returned
-    value is exact for the returned strategy, hence a true lower bound.
+    The wiring stays fixed to the template of ``build_strategy``; only
+    angles move.  All randomness flows from ``options.seed``, one
+    independent substream per restart.  The returned value is exact for the
+    returned strategy, hence a true lower bound.
     """
     opts = options or OptimizeOptions()
     if not isinstance(game.payoff, ConsistencyPayoff):
         raise GraphGameError("optimize_quantum requires a consistency-mode game")
-    strategy, model = build_strategy(game, opts.template, allow_multiway=opts.allow_multiway)
+    strategy, model = build_strategy(game, allow_multiway=opts.allow_multiway)
     if len(model.pairs) > opts.pair_budget:
         raise PairBudgetError(len(model.pairs), opts.pair_budget)
     ev = _Evaluator(game, strategy, model)
@@ -453,12 +447,7 @@ def optimize_quantum(game: GraphicGame, options: OptimizeOptions | None = None) 
         value, converged = _ascend(ev, theta, opts)
         return value, restart, theta, converged
 
-    if opts.threads > 1 and opts.restarts > 1:
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            results = list(pool.map(run, range(opts.restarts)))
-    else:
-        results = [run(r) for r in range(opts.restarts)]
-
+    results = [run(r) for r in range(opts.restarts)]
     best = max(results, key=lambda r: (r[0], -r[1]))
     value, _, theta, converged = best
     angles = {key: float(t) for key, t in zip(ev.slots, theta)}
@@ -546,7 +535,8 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
 
     Players measure every pair half they hold and answer from (own input,
     own outcomes) via response tables; tables are optimized by exact
-    per-cell best response and angles by coordinate ascent.  Every reported
+    per-cell best response and angles by exact coordinate steps, since with
+    the tables fixed the value is a sinusoid in each angle.  Every reported
     number is the exact value of a concrete strategy, so for injective
     targets it can never exceed the classical optimum.  Games without any
     two-owner vertex degenerate to the classical response search.
@@ -658,22 +648,11 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
         for _ in range(opts.max_sweeps):
             for player in game.players:
                 best_response(tabs, theta, player)
-            for idx in range(len(theta)):
-                def f(t: float, idx: int = idx) -> float:
-                    theta[idx] = t
-                    return value_of(tabs, theta)
-
-                grid = [2.0 * math.pi * k / opts.grid_size for k in range(opts.grid_size)]
-                best_t, best_v = theta[idx], f(theta[idx])
-                for t in grid:
-                    v = f(t)
-                    if v > best_v:
-                        best_t, best_v = t, v
-                theta[idx] = best_t
             now = value_of(tabs, theta)
+            for idx in range(len(theta)):
+                now = _exact_step(lambda th: value_of(tabs, th), theta, idx, now)
             if now - current < opts.tolerance:
-                current = now
                 break
             current = now
-        best = max(best, current)
+        best = max(best, value_of(tabs, theta))
     return best

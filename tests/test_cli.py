@@ -3,8 +3,9 @@ import io as stdio
 import json
 from importlib import resources
 
+import pytest
 
-from graphgame import classical_value
+from graphgame import DeterministicStrategy, IIDDistribution, classical_value
 from graphgame import cli, games
 from graphgame import io as ggio
 
@@ -43,6 +44,28 @@ class TestValidate:
         code, text = run("validate", str(bad))
         assert code == 2
         assert "bad-m" in text
+
+    @pytest.mark.parametrize("command", ["classify", "value", "simulate", "gyni"])
+    def test_every_command_refuses_invalid_spec(self, command, tmp_path):
+        if command == "gyni":
+            game = games.gyni_game(3, IIDDistribution(1.7))
+        else:
+            game = games.star_game(3, 1.7)
+        spec = tmp_path / "bad_prior.game"
+        spec.write_text(ggio.serialize_game(game))
+        argv = [command, str(spec)]
+        if command == "simulate":
+            signs = {(i, x, v): 1 for i in game.players for x in (0, 1) for v in game.owned(i, x)}
+            strategy_file = tmp_path / "plus.strategy"
+            strategy_file.write_text(ggio.serialize_strategy(DeterministicStrategy(signs=signs)))
+            argv += ["--strategy", str(strategy_file)]
+        code, text = run(*argv)
+        assert code == 2
+        assert ggio.validate_report(text) == []
+        assert report_dict(text)["status"] == "invalid"
+        # Everything after the command line matches what validate reports.
+        _, validate_text = run("validate", str(spec))
+        assert text.splitlines()[1:] == validate_text.splitlines()[1:]
 
     def test_parse_failure_exits_3(self, tmp_path):
         bad = tmp_path / "broken.game"
@@ -138,17 +161,6 @@ class TestValue:
         assert code == 0
         assert report["advantage_observed"] == "true"
         assert float(report["omega_q_lower"]) > float(report["omega_c"])
-
-    def test_threads_env_var_matches_flag(self, monkeypatch):
-        args = ["value", fixture_path("chsh"), "--quantum", "--restarts", "4", "--seed", "2"]
-        _, flag_text = run(*args, "--threads", "3")
-        monkeypatch.setenv("GRAPHGAME_THREADS", "3")
-        _, env_text = run(*args)
-        monkeypatch.delenv("GRAPHGAME_THREADS")
-        flag_report = report_dict(flag_text)
-        env_report = report_dict(env_text)
-        assert flag_report["omega_q_lower"] == env_report["omega_q_lower"]
-        assert flag_report["omega_q_strategy"] == env_report["omega_q_strategy"]
 
 
 class TestSimulate:

@@ -132,6 +132,29 @@ class TestExactValue:
             validate_strategy(g, broken, model)
 
 
+class TestOneAngleIdentity:
+    @pytest.mark.parametrize("game", [games.chsh_game(), games.star_game(4), games.chain_game()],
+                             ids=["chsh", "star4", "chain4"])
+    def test_value_is_sinusoid_in_each_angle(self, game):
+        # The exact coordinate step relies on this: along one angle the value
+        # is a*cos(t) + b*sin(t) + c, fitted from t = 0, pi/2 and pi.
+        rng = np.random.default_rng(12)
+        strategy, _ = build_strategy(game)
+        base = {key: float(rng.uniform(0.0, 2.0 * math.pi)) for key in strategy.angles}
+
+        def value_at(key, t):
+            return exact_quantum_value(game, strategy.with_angles({**base, key: t}))
+
+        for key in base:
+            v0, v_half, v_pi = (value_at(key, t) for t in (0.0, math.pi / 2, math.pi))
+            c = (v0 + v_pi) / 2
+            a = (v0 - v_pi) / 2
+            b = v_half - c
+            for t in rng.uniform(0.0, 2.0 * math.pi, size=4):
+                fitted = a * math.cos(t) + b * math.sin(t) + c
+                assert value_at(key, t) == pytest.approx(fitted, abs=1e-12)
+
+
 class TestOptimizer:
     def test_chsh_reaches_tsirelson_level(self):
         result = optimize_quantum(games.chsh_game(), OptimizeOptions(restarts=20, seed=1))
@@ -148,12 +171,6 @@ class TestOptimizer:
     def test_seed_determinism(self):
         a = optimize_quantum(games.chsh_game(), OptimizeOptions(restarts=6, seed=3))
         b = optimize_quantum(games.chsh_game(), OptimizeOptions(restarts=6, seed=3))
-        assert a.value == b.value
-        assert a.strategy.angles == b.strategy.angles
-
-    def test_thread_count_does_not_change_result(self):
-        a = optimize_quantum(games.chsh_game(), OptimizeOptions(restarts=6, seed=4, threads=1))
-        b = optimize_quantum(games.chsh_game(), OptimizeOptions(restarts=6, seed=4, threads=4))
         assert a.value == b.value
         assert a.strategy.angles == b.strategy.angles
 
@@ -176,8 +193,20 @@ class TestOptimizer:
                 result = optimize_quantum(
                     games.star_game(n1, p=p), OptimizeOptions(restarts=20, seed=2)
                 )
-                assert abs(result.value - closed) <= 1e-3, (n1, p)
+                assert abs(result.value - closed) <= 1e-9, (n1, p)
                 assert 0.0 <= result.value <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize(
+        "game",
+        [games.star_game(3, 0.2), games.star_game(3, 0.8), games.star_game(4, 0.8), games.chain_game(0.8)],
+        ids=["star3-0.2", "star3-0.8", "star4-0.8", "chain4-0.8"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_near_classical_prior_not_below_classical(self, game, seed):
+        # A deterministic strategy is a quantum strategy, so the lower bound
+        # must reach omega_c where the quantum gain is small.
+        result = optimize_quantum(game, OptimizeOptions(restarts=1, seed=seed))
+        assert result.value >= classical_value(game)[0] - 1e-12
 
     def test_chain_gap_is_real(self):
         g = games.chain_game()
