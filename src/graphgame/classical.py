@@ -10,6 +10,15 @@ constrained region is dropped outright, and for a high-block player such a
 group merely absorbs the total-product condition (the witness sets its
 representative to whatever sign restores the product to +1).
 
+The search then eliminates one responder player exactly.  Its code is a
+pair (input-0 pattern, input-1 pattern), and with every other player's code
+fixed, inputs where the responder sees 0 depend only on the first pattern and
+inputs where it sees 1 only on the second.  So its best response is the best
+input-0 pattern plus the best input-1 pattern, and the walk covers
+``prod_{j != r} c_j * (2^g_r0 + 2^g_r1)`` points instead of ``prod_j c_j``.
+The witness is still the lowest-index maximiser of the full reduced
+enumeration, and the budget still counts ``prod_j c_j``.
+
 The module also carries the closed-form values used to cross-check the
 search on star-shaped and fully-shared games, the complementary-pair bound
 for target games, and the injectivity check for target functions.
@@ -18,6 +27,7 @@ for target games, and the injectivity check for target functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as _iter_product
 from typing import Mapping, Sequence
 
@@ -36,7 +46,8 @@ from .model import (
 
 DEFAULT_STRATEGY_BUDGET = 1 << 24
 
-# Joint win tensors are processed in blocks of at most this many entries.
+# Each of the search's two accumulators holds at most this many entries per
+# block (unless one row of the other players' grid is larger).
 _BLOCK_ENTRIES = 1 << 22
 
 
@@ -197,85 +208,140 @@ def _pair_targets(game: GraphicGame, x: Sequence[int]):
     return out
 
 
+def _responder(enum: _Enumeration) -> int:
+    """Axis of the player whose best response is taken in closed form.
+
+    Eliminating player r walks ``space_size * (2^g_r0 + 2^g_r1) / c_r``
+    points, so r minimises ``(2^g_r0 + 2^g_r1) / c_r = 2^-g_r1 + 2^-g_r0``
+    (a sum of two powers of two, exact in floating point); ties go to the
+    lowest index.
+    """
+    return min(
+        range(len(enum.choices)),
+        key=lambda a: 2.0 ** -enum.group_bits[(a + 1, 0)] + 2.0 ** -enum.group_bits[(a + 1, 1)],
+    )
+
+
 def classical_value(
     game: GraphicGame, budget: int = DEFAULT_STRATEGY_BUDGET
 ) -> tuple[float, DeterministicStrategy]:
     """Exact optimum over deterministic strategies, with an attaining witness.
 
-    Ties break toward the lowest enumeration index.  Raises
-    StrategySpaceError when the reduced space exceeds ``budget``.
+    One responder player (see ``_responder``) is eliminated exactly: with the
+    other players' codes fixed, the inputs where the responder sees 0 depend
+    only on its input-0 pattern and the rest only on its input-1 pattern.
+    So the search fills two accumulators over the other players' grid, A
+    over the input-0 pattern and B over the input-1 pattern, and each grid
+    point scores ``max(A) + max(B)``.
+
+    Ties break toward the lowest index of the full reduced enumeration
+    (player 1's code most significant, each code ``pattern0 << g1 |
+    pattern1``), exactly as a walk over every point would.  The returned
+    value is the witness's winning input weights summed in input order.
+    Raises StrategySpaceError when the reduced space ``prod(c_j)`` exceeds
+    ``budget``, and GraphGameError for fewer than two players.
     """
     if not isinstance(game.payoff, ConsistencyPayoff):
         raise GraphGameError("classical_value requires a consistency-mode game")
+    if game.n < 2:
+        raise GraphGameError("classical_value needs at least two players")
     enum = _build_enumeration(game)
     size = enum.space_size
     if size > budget:
         raise StrategySpaceError(size, budget)
 
     n = game.n
-    shape = enum.choices
-    rest = int(np.prod(shape[1:], dtype=np.int64)) if n > 1 else 1
-    block = max(1, min(shape[0], _BLOCK_ENTRIES // max(rest, 1)))
+    r = _responder(enum)
+    g1_r = enum.group_bits[(r + 1, 1)]
+    others = [a for a in range(n) if a != r]
+    grid = tuple(enum.choices[a] for a in others)
+    # Accumulator axes: the other players in order, then the responder's
+    # pattern at one input.
+    axis_of = {a: k for k, a in enumerate(others)}
+    axis_of[r] = len(others)
+    width = max(1 << enum.group_bits[(r + 1, x)] for x in (0, 1))
+    rows = grid[0]
+    row_entries = int(np.prod(grid[1:], dtype=np.int64)) * width
+    block = max(1, min(rows, _BLOCK_ENTRIES // row_entries))
 
-    weighted = [
-        (x, input_weight(game.distribution, x)) for x in input_vectors(n)
-    ]
-    weighted = [(x, w) for x, w in weighted if w != 0.0]
+    def sign(i: int, x: int, mask: int) -> np.ndarray:
+        # Region-product sign of player i at input x, laid along its own axis.
+        if i - 1 == r:
+            pat = np.arange(1 << enum.group_bits[(i, x)], dtype=np.uint64)
+        else:
+            pat = _patterns_for(enum, i, x)
+        dims = [1] * n
+        dims[axis_of[i - 1]] = len(pat)
+        return _parity_sign(pat, mask).reshape(dims)
 
-    # Per input vector: unary factors (high-block product checks) and pair
-    # factors (region product targets), as arrays over per-player choices.
-    per_input = []
-    for x, w in weighted:
-        unary = []
-        for i in range(game.m + 1, n + 1):
-            if enum.a_checked.get((i, x[i - 1])) and enum.group_bits[(i, x[i - 1])] > 0:
-                pat = _patterns_for(enum, i, x[i - 1])
-                full = (1 << enum.group_bits[(i, x[i - 1])]) - 1
-                unary.append((i - 1, _parity_sign(pat, full) == 1))
-        pairs = []
-        for i, j, want in _pair_targets(game, x):
-            zi = _parity_sign(
-                _patterns_for(enum, i, x[i - 1]), enum.region_masks[(i, x[i - 1], j, x[j - 1])]
-            )
-            zj = _parity_sign(
-                _patterns_for(enum, j, x[j - 1]), enum.region_masks[(j, x[j - 1], i, x[i - 1])]
-            )
-            pairs.append((i - 1, j - 1, zi, zj, want))
-        per_input.append((w, unary, pairs))
+    # Factors depend on the input only through the players they involve, so
+    # each is built once and shared by every input that uses it.
+    @cache
+    def unary(i: int, x: int) -> np.ndarray:
+        return sign(i, x, (1 << enum.group_bits[(i, x)]) - 1) == 1
 
-    def _reshape(arr: np.ndarray, axis: int, local_shape: tuple[int, ...]) -> np.ndarray:
-        dims = [1] * len(local_shape)
-        dims[axis] = len(arr)
-        return arr.reshape(dims)
+    @cache
+    def pair(i: int, xi: int, j: int, xj: int, want: int) -> np.ndarray:
+        zi = sign(i, xi, enum.region_masks[(i, xi, j, xj)])
+        zj = sign(j, xj, enum.region_masks[(j, xj, i, xi)])
+        return zi * zj == want
+
+    # Per input vector: its weight, the accumulator it feeds (the responder's
+    # bit) and its win factors, each broadcastable over that accumulator:
+    # unary (high-block product checks) and pair (region product targets).
+    per_input: list[tuple[float, int, list[np.ndarray]]] = []
+    for x in input_vectors(n):
+        w = input_weight(game.distribution, x)
+        if w == 0.0:
+            continue
+        factors = [
+            unary(i, x[i - 1])
+            for i in range(game.m + 1, n + 1)
+            if enum.a_checked.get((i, x[i - 1])) and enum.group_bits[(i, x[i - 1])] > 0
+        ]
+        factors += [pair(i, x[i - 1], j, x[j - 1], want) for i, j, want in _pair_targets(game, x)]
+        per_input.append((w, x[r], factors))
 
     best_value = -1.0
     best_flat = 0
-    for start in range(0, shape[0], block):
-        stop = min(start + block, shape[0])
-        local_shape = (stop - start,) + shape[1:]
-        acc = np.zeros(local_shape, dtype=np.float64)
-        for w, unary, pairs in per_input:
-            mask = np.ones(local_shape, dtype=bool)
-            for axis, arr in unary:
-                a = arr[start:stop] if axis == 0 else arr
-                mask &= _reshape(a, axis, local_shape)
-            for ai, aj, zi, zj, want in pairs:
-                zi_l = zi[start:stop] if ai == 0 else zi
-                zj_l = zj[start:stop] if aj == 0 else zj
-                pm = (zi_l[:, None].astype(np.int16) * zj_l[None, :]) == want
-                dims = [1] * len(local_shape)
-                dims[ai] = len(zi_l)
-                dims[aj] = len(zj_l)
-                mask &= pm.reshape(dims)
-            acc[mask] += w
-        flat = int(np.argmax(acc))
-        value = float(acc.flat[flat])
-        if value > best_value:
-            best_value = value
-            best_flat = start * rest + flat
+    for start in range(0, rows, block):
+        stop = min(start + block, rows)
+        local = (stop - start,) + grid[1:]
+        acc = [np.zeros(local + (1 << enum.group_bits[(r + 1, x)],)) for x in (0, 1)]
+        for w, half, factors in per_input:
+            mask = True
+            for f in factors:
+                mask = mask & (f if f.shape[0] == 1 else f[start:stop])
+            np.add(acc[half], w, out=acc[half], where=mask)
+        vals = acc[0].max(-1) + acc[1].max(-1)
+        top = float(vals.max())
+        if top < best_value:
+            continue
+        # Lowest full-enumeration index among this block's maximisers: the
+        # responder's code at each is its lowest maximising pair of patterns.
+        hits = np.flatnonzero(vals == top)
+        coords = list(np.unravel_index(hits, local))
+        coords[0] = coords[0] + start
+        p0, p1 = (a.reshape(-1, a.shape[-1])[hits].argmax(-1) for a in acc)
+        coords.insert(r, (p0 << g1_r) | p1)
+        flat = int(np.ravel_multi_index(coords, enum.choices).min())
+        if top > best_value or flat < best_flat:
+            best_value = top
+            best_flat = flat
 
-    witness = _decode_strategy(game, enum, best_flat)
-    return best_value, witness
+    # Re-score the witness input by input, in input order.  A walk over every
+    # point sums each point's weights that way, so the value matches it bit
+    # for bit instead of carrying the rounding of the split A + B.
+    coords = [int(c) for c in np.unravel_index(best_flat, enum.choices)]
+    code = coords.pop(r)
+    pattern = (code >> g1_r, code & ((1 << g1_r) - 1))
+    value = 0.0
+    for w, half, factors in per_input:
+        point = coords + [pattern[half]]
+        # A factor's size-1 axes broadcast, so they are read at index 0.
+        if all(f[tuple(min(c, d - 1) for c, d in zip(point, f.shape))] for f in factors):
+            value += w
+    return value, _decode_strategy(game, enum, best_flat)
 
 
 def _decode_strategy(game: GraphicGame, enum: _Enumeration, flat: int) -> DeterministicStrategy:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from first principles, separate
 from the code under test: a dense 4-dimensional statevector simulation of
-one entangled pair, a direct subset-enumeration of the sharing index, and
-a tiny random-game generator for property tests.
+one entangled pair, a direct subset-enumeration of the sharing index, an
+ungrouped brute-force classical value, and a tiny random-game generator for
+property tests.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from itertools import combinations, product
 import numpy as np
 
 from graphgame import AssignmentMap, ConsistencyPayoff, Graph, GraphicGame, IIDDistribution
+from graphgame.model import OutputAssignment, evaluate_payoff, input_vectors, input_weight
 
 _KET = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)  # (|00> + |11>)/sqrt(2)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -70,6 +72,48 @@ def naive_sharing_index(game: GraphicGame, i: int) -> int | None:
         if found:
             best = s
     return best
+
+
+def sign_slots(game: GraphicGame) -> list[tuple[int, int, str]]:
+    """Every owned (player, input, vertex), in a fixed order."""
+    return [(i, x, v) for i in game.players for x in (0, 1) for v in sorted(game.owned(i, x))]
+
+
+def brute_force_scores(game: GraphicGame) -> np.ndarray:
+    """Referee score of every deterministic strategy, with no grouping.
+
+    Entry ``code`` scores the strategy whose sign at ``sign_slots(game)[k]``
+    is -1 exactly when bit ``len(slots) - 1 - k`` of ``code`` is set.  Each
+    input's verdict is tabulated by ``evaluate_payoff`` over every sign of
+    the slots that input reads; the weights are summed in input order.
+    """
+    slots = sign_slots(game)
+    codes = np.arange(1 << len(slots))
+    total = np.zeros(len(codes))
+    for x in input_vectors(game.n):
+        w = input_weight(game.distribution, x)
+        if w == 0.0:
+            continue
+        read = [k for k, (i, xi, _) in enumerate(slots) if xi == x[i - 1]]
+        verdicts = np.array(
+            [
+                evaluate_payoff(
+                    game,
+                    x,
+                    OutputAssignment({(slots[k][0], slots[k][2]): s for k, s in zip(read, signs)}),
+                ).verdict
+                for signs in product((1, -1), repeat=len(read))
+            ]
+        )
+        row = np.zeros_like(codes)
+        for k in read:
+            row = 2 * row + ((codes >> (len(slots) - 1 - k)) & 1)
+        total += w * verdicts[row]
+    return total
+
+
+def brute_force_classical_value(game: GraphicGame) -> float:
+    return float(brute_force_scores(game).max())
 
 
 def random_game(rng: np.random.Generator, max_vertices: int = 4) -> GraphicGame:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from graphgame import (
     ClosedFormParams,
     ConsistencyPayoff,
     Graph,
+    GraphGameError,
     GraphicGame,
     IIDDistribution,
     JointDistribution,
@@ -19,9 +22,40 @@ from graphgame import (
     target_classical_value,
     target_value_from_tables,
 )
-from graphgame import games
+from graphgame import classical, games
+from graphgame.classical import (
+    DEFAULT_STRATEGY_BUDGET,
+    _build_enumeration,
+    _decode_strategy,
+    _responder,
+)
 
-from _oracles import random_game
+from _oracles import brute_force_classical_value, brute_force_scores, random_game, sign_slots
+
+
+def _tie_cases():
+    # Dyadic priors keep every sum exact, so ties are exact.  The search
+    # eliminates the star hub (axis 0), a chain4 middle station (axis 1) and
+    # chsh's last player; several of these have their first maximiser at a
+    # nonzero index.
+    return [
+        games.chsh_game(),
+        games.star_game(3),
+        games.star_game(3, p=0.25),
+        games.chain_game(),
+        games.chain_game(0.75),
+        games.trivial_game(),
+    ] + _small_random_games(seed=2, count=6)
+
+
+def _small_random_games(seed: int, count: int, max_slots: int = 14):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        g = random_game(rng)
+        if len(sign_slots(g)) <= max_slots:
+            out.append(g)
+    return out
 
 
 class TestClassicalValue:
@@ -55,8 +89,59 @@ class TestClassicalValue:
         assert err.value.budget == 16
 
     def test_ties_break_to_lowest_index(self):
-        value, witness = classical_value(games.trivial_game())
-        assert witness.index == 0  # the all-plus strategy already wins
+        # The witness must be the first point of the full reduced enumeration
+        # that scores the maximum, whichever player the search eliminates.
+        for g in _tie_cases():
+            scores = brute_force_scores(g)
+            slots = sign_slots(g)
+            enum = _build_enumeration(g)
+            value, witness = classical_value(g)
+            assert value == scores.max()
+
+            def score(k):
+                signs = _decode_strategy(g, enum, k).signs
+                code = 0
+                for slot in slots:
+                    code = 2 * code + (signs[slot] == -1)
+                return scores[code]
+
+            assert witness.index == next(k for k in range(enum.space_size) if score(k) == value)
+
+    def test_blocks_keep_value_and_witness(self, monkeypatch):
+        cases = _tie_cases() + [games.cube_game(3, p=0.3)]
+        whole = [classical_value(g) for g in cases]
+        monkeypatch.setattr(classical, "_BLOCK_ENTRIES", 1)
+        for g, (value, witness) in zip(cases, whole):
+            blocked_value, blocked = classical_value(g)
+            assert (blocked_value, blocked.index) == (value, witness.index)
+
+    def test_matches_ungrouped_brute_force(self):
+        rng = np.random.default_rng(44)
+        cases = [games.chsh_game(), games.star_game(3), games.shared_game(3)] + [
+            dataclasses.replace(g, distribution=IIDDistribution(float(rng.choice((0.5, 0.3, 0.85)))))
+            for g in _small_random_games(seed=43, count=40)
+        ]
+        for g in cases:
+            value, witness = classical_value(g)
+            assert value == pytest.approx(brute_force_classical_value(g), abs=1e-12)
+            assert strategy_value(g, witness) == pytest.approx(value, abs=1e-12)
+
+    def test_responder_saves_the_most(self):
+        # The hub on stars, the first middle station on chain4.
+        assert _responder(_build_enumeration(games.star_game(5))) == 0
+        assert _responder(_build_enumeration(games.chain_game())) == 1
+
+    def test_needs_two_players(self):
+        solo = GraphicGame(
+            graph=Graph(["v"]),
+            n=1,
+            m=0,
+            assignments=AssignmentMap({(1, 0): ["v"]}),
+            distribution=IIDDistribution(0.5),
+            payoff=ConsistencyPayoff(),
+        )
+        with pytest.raises(GraphGameError):
+            classical_value(solo)
 
     def test_relabelling_invariance(self):
         base = games.star_game(3)
@@ -151,12 +236,18 @@ class TestClosedForms:
             closed_form_star_classical(ClosedFormParams(p=1.5, n1=2))
 
     def test_star_grid_against_brute_force(self):
-        for n1 in (2, 3):
-            for p in (0.2, 0.5, 0.8):
+        # star7's reduced space is exactly the default budget.
+        for n1, priors in ((2, (0.2, 0.5, 0.8)), (3, (0.2, 0.5, 0.8)), (7, (0.3, 0.8))):
+            for p in priors:
                 brute, _ = classical_value(games.star_game(n1, p=p))
                 assert brute == pytest.approx(
                     closed_form_star_classical(ClosedFormParams(p=p, n1=n1)), abs=1e-12
                 )
+
+    def test_star7_space_is_the_default_budget(self):
+        with pytest.raises(StrategySpaceError) as err:
+            classical_value(games.star_game(7), budget=0)
+        assert err.value.space_size == 2**24 == DEFAULT_STRATEGY_BUDGET
 
     def test_shared_grid_against_brute_force(self):
         for l in (3, 4):

@@ -25,7 +25,7 @@ from graphgame import (
     trig_power_mean_holds,
     unbalanced_chsh_has_advantage,
 )
-from graphgame.quantum import StrategyError, validate_strategy
+from graphgame.quantum import StrategyError, _Evaluator, validate_strategy
 from graphgame import games
 
 from _oracles import random_game, statevector_correlator, statevector_pair_probs
@@ -141,9 +141,17 @@ class TestOneAngleIdentity:
         rng = np.random.default_rng(12)
         strategy, _ = build_strategy(game)
         base = {key: float(rng.uniform(0.0, 2.0 * math.pi)) for key in strategy.angles}
+        # One evaluator serves every angle setting; it must agree with the
+        # public exact value at the base angles.
+        model = build_pair_model(game)
+        validate_strategy(game, strategy, model)
+        ev = _Evaluator(game, strategy, model)
+        assert ev.value([base[k] for k in ev.slots]) == exact_quantum_value(
+            game, strategy.with_angles(base)
+        )
 
         def value_at(key, t):
-            return exact_quantum_value(game, strategy.with_angles({**base, key: t}))
+            return ev.value([t if k == key else base[k] for k in ev.slots])
 
         for key in base:
             v0, v_half, v_pi = (value_at(key, t) for t in (0.0, math.pi / 2, math.pi))
