@@ -13,14 +13,18 @@ Commands: validate, classify, value, simulate, gyni.  Each prints a plain
 Every command validates the spec right after parsing and refuses an invalid
 one with the ``validate`` report lines and exit 2.  ``value --quantum``
 lower-bounds the quantum value by exact coordinate ascent over the
-measurement angles: 3 evaluations per angle and a closed-form maximizer,
-stopping once a sweep gains less than ``--tolerance``.
+measurement angles: each step reads the sinusoid along one angle off the
+compiled correlator polynomial in one pass over the terms holding that
+angle and jumps to its maximum, stopping once a sweep gains less than
+``--tolerance``.  ``--restarts`` below 1 and a negative or non-finite
+``--tolerance`` are usage errors (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -246,6 +250,20 @@ def cmd_gyni(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphgame",
@@ -271,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--classical", action="store_true")
     p.add_argument("--quantum", action="store_true")
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=OptimizeOptions.tolerance)
+    p.add_argument("--tolerance", type=_tolerance, default=OptimizeOptions.tolerance)
     p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
     p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
     p.set_defaults(func=cmd_value)
@@ -287,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gyni", help="target-mode analysis: injectivity, bounds, probe")
     p.add_argument("spec")
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
     p.set_defaults(func=cmd_gyni)

@@ -14,10 +14,13 @@ Outcome statistics for one pair measured along ``theta_a`` and ``theta_b``:
     P(a, b) = (1 + a * b * cos(theta_a - theta_b)) / 4
 
 with uniform marginals; a half that nobody measures behaves as an
-independent fair sign.  Winning probabilities are computed exactly by
-enumerating outcome tuples of the measured halves, so every optimizer
-result is a genuine lower bound on the game's quantum value, never an
-estimate.
+independent fair sign.  Winning probabilities are exact sums of one
+compiled correlator polynomial per strategy, ``sum coeff * prod
+cos(theta_a - theta_b)``: the referee's conditions are parity constraints
+on the measured outcomes, and their GF(2) solution space gives every
+coefficient in closed form, with no enumeration of outcome tuples.  So
+every optimizer result is a genuine lower bound on the game's quantum
+value, never an estimate.
 
 Vertices owned by three or more players have no pair here and are rejected
 by default; passing ``allow_multiway=True`` treats them as unentangled
@@ -39,9 +42,7 @@ from .model import (
     ConsistencyPayoff,
     GraphGameError,
     GraphicGame,
-    OutputAssignment,
     TargetPayoff,
-    evaluate_payoff,
     input_vectors,
     input_weight,
 )
@@ -63,7 +64,7 @@ class MultiwaySharedVertexError(GraphGameError):
 
 
 class PairBudgetError(GraphGameError):
-    """More pairs than the exact evaluator is allowed to enumerate."""
+    """More pairs than the exact evaluator is allowed to compile."""
 
     def __init__(self, pairs: int, budget: int):
         super().__init__(f"game has {pairs} pairs, budget is {budget}")
@@ -262,82 +263,161 @@ def deterministic_as_quantum(game: GraphicGame, det: DeterministicStrategy) -> Q
     return QuantumStrategy(angles={}, wiring=wiring)
 
 
-@dataclass(frozen=True)
-class _CompiledInput:
-    weight: float
-    # per active pair: (slot index of side a or None, slot index of side b or None)
-    specs: tuple[tuple[Optional[int], Optional[int]], ...]
-    wins: tuple[float, ...]
+def _parity_constraints(
+    game: GraphicGame,
+    wiring: Mapping[tuple[int, int, str], OutputExpr],
+    x: Sequence[int],
+    bit: Mapping[tuple[int, str], int],
+) -> list[tuple[int, int]]:
+    """The referee's conditions (a)-(c) at ``x`` as parity constraints.
+
+    Outcome bit ``o`` stands for the sign ``(-1)**o`` of the measured half
+    ``(player, vertex)`` whose bitmask is ``bit[...]``, so every wired output
+    is ``sign * (-1)**popcount(outcomes & mask)``.  Each returned ``(mask,
+    parity)`` holds when ``popcount(outcomes & mask)`` has that parity, and
+    the round is won iff all of them hold.  Mirrors ``evaluate_payoff``.
+    """
+
+    def product(i: int, verts) -> tuple[int, int]:
+        mask = parity = 0
+        for v in verts:
+            expr = wiring[(i, x[i - 1], v)]
+            parity ^= expr.sign < 0
+            for r in expr.refs:
+                mask ^= bit[(i, r)]
+        return mask, parity
+
+    low, high = range(1, game.m + 1), range(game.m + 1, game.n + 1)
+    constraints = [product(i, game.owned(i, x[i - 1])) for i in high]
+    regions = [(i, j) for i in low for j in high]
+    regions += [(i, j) for i in high for j in high if i < j]
+    for i, j in regions:
+        region = game.owned(i, x[i - 1]) & game.owned(j, x[j - 1])
+        if not region:
+            continue
+        mi, pi = product(i, region)
+        mj, pj = product(j, region)
+        want = int(i <= game.m and x[i - 1] == 1 and x[j - 1] == 1)
+        constraints.append((mi ^ mj, pi ^ pj ^ want))
+    return constraints
+
+
+def _reduce(basis: Mapping[int, tuple[int, int]], mask: int, parity: int) -> tuple[int, int]:
+    """Eliminate ``mask`` against an echelon basis keyed by leading bit.
+
+    The mask comes back 0 iff it lies in the basis span; ``parity`` is then
+    the parity its character takes on every solution.
+    """
+    while mask:
+        row = basis.get(mask.bit_length() - 1)
+        if row is None:
+            break
+        mask ^= row[0]
+        parity ^= row[1]
+    return mask, parity
+
+
+def _echelon(constraints) -> Optional[dict[int, tuple[int, int]]]:
+    """GF(2) echelon basis of the constraints; None when they contradict."""
+    basis: dict[int, tuple[int, int]] = {}
+    for mask, parity in constraints:
+        mask, parity = _reduce(basis, mask, parity)
+        if mask:
+            basis[mask.bit_length() - 1] = (mask, parity)
+        elif parity:
+            return None
+    return basis
 
 
 class _Evaluator:
+    """The strategy's winning probability as a polynomial in the correlators.
+
+    At input ``x`` with weight ``w`` the won outcomes of the measured halves
+    are the solutions of a GF(2) system of parity constraints, an affine
+    subspace of rank ``r``.  Writing each pair's outcome law as
+    ``(1 + a*b*c)/4`` and expanding, the subset ``S`` of fully measured pairs
+    gets the coefficient ``w * 4**-both * 2**-single * sum over wins of the
+    character of S``; that character sum over an affine subspace is
+    ``+-2**(sides - r)`` when the character is constant on it (its mask lies
+    in the constraints' span) and 0 otherwise, so the coefficient is
+    ``+-w * 2**-r`` or 0.  Equal monomials merge across inputs.  A slot
+    enters at most one correlator of any monomial, so along one angle the
+    value is ``a*cos(t) + b*sin(t) + c`` (``sinusoid``).
+    """
+
     def __init__(self, game: GraphicGame, strategy: QuantumStrategy, model: PairModel):
         self.slots: list[tuple[int, str, int]] = sorted(strategy.angles)
         index = {k: i for i, k in enumerate(self.slots)}
-        self.inputs: list[_CompiledInput] = []
+        # Monomial (its correlators' slot pairs, in pair order) -> coefficient.
+        coeffs: dict[tuple[tuple[int, int], ...], float] = {}
         for x in input_vectors(game.n):
             w = input_weight(game.distribution, x)
             if w == 0.0:
                 continue
-            specs = []
-            sides = []  # (player, vertex) per enumerated outcome variable
+            bit: dict[tuple[int, str], int] = {}
+            full: list[tuple[tuple[int, int], int]] = []  # (slot pair, mask of both halves)
             for v, a, b in model.pairs:
-                ka = (a, v, x[a - 1])
-                kb = (b, v, x[b - 1])
-                ia = index.get(ka)
-                ib = index.get(kb)
-                if ia is None and ib is None:
-                    continue
-                specs.append((ia, ib))
-                if ia is not None:
-                    sides.append((a, v))
-                if ib is not None:
-                    sides.append((b, v))
-            dims = [4 if ia is not None and ib is not None else 2 for ia, ib in specs]
-            wins = []
-            for combo in _iter_product(*[_OUTCOMES[d] for d in dims]):
-                outcomes: dict[tuple[int, str], int] = {}
-                pos = 0
-                for (ia, ib), vals in zip(specs, combo):
-                    if ia is not None and ib is not None:
-                        outcomes[sides[pos]] = vals[0]
-                        outcomes[sides[pos + 1]] = vals[1]
-                        pos += 2
-                    else:
-                        outcomes[sides[pos]] = vals[0]
-                        pos += 1
-                values = {}
-                for i in game.players:
-                    for v in game.owned(i, x[i - 1]):
-                        expr = strategy.wiring[(i, x[i - 1], v)]
-                        s = expr.sign
-                        for r in expr.refs:
-                            s *= outcomes[(i, r)]
-                        values[(i, v)] = s
-                verdict = evaluate_payoff(game, x, OutputAssignment(values)).verdict
-                wins.append(float(verdict))
-            self.inputs.append(_CompiledInput(w, tuple(specs), tuple(wins)))
+                ia = index.get((a, v, x[a - 1]))
+                ib = index.get((b, v, x[b - 1]))
+                for player, slot in ((a, ia), (b, ib)):
+                    if slot is not None:
+                        bit[(player, v)] = 1 << len(bit)
+                if ia is not None and ib is not None:
+                    full.append(((ia, ib), bit[(a, v)] | bit[(b, v)]))
+            basis = _echelon(_parity_constraints(game, strategy.wiring, x, bit))
+            if basis is None:
+                continue
+            scale = w / 2.0 ** len(basis)
+            for subset in range(1 << len(full)):
+                chosen = [(pair, m) for k, (pair, m) in enumerate(full) if subset >> k & 1]
+                rest, parity = _reduce(basis, sum(m for _, m in chosen), 0)
+                if not rest:
+                    key = tuple(pair for pair, _ in chosen)
+                    coeffs[key] = coeffs.get(key, 0.0) + (-scale if parity else scale)
+        kept = [(key, c) for key, c in coeffs.items() if c != 0.0]
+        self.correlators: list[tuple[int, int]] = list(
+            dict.fromkeys(pair for key, _ in kept for pair in key)
+        )
+        corr_index = {pair: k for k, pair in enumerate(self.correlators)}
+        self.terms: list[tuple[float, tuple[int, ...]]] = [
+            (c, tuple(corr_index[pair] for pair in key)) for key, c in kept
+        ]
+        # Per slot: (partner slot, [(coefficient, the term's other correlators)])
+        # for each correlator that holds the slot.
+        touching: list[dict[int, list]] = [{} for _ in self.slots]
+        for c, key in self.terms:
+            for k in key:
+                rest = tuple(j for j in key if j != k)
+                sa, sb = self.correlators[k]
+                touching[sa].setdefault(sb, []).append((c, rest))
+                touching[sb].setdefault(sa, []).append((c, rest))
+        self.touching = [list(t.items()) for t in touching]
+
+    def _cosines(self, theta: Sequence[float]) -> list[float]:
+        return [math.cos(theta[a] - theta[b]) for a, b in self.correlators]
 
     def value(self, theta: Sequence[float]) -> float:
-        total = 0.0
-        for inp in self.inputs:
-            probs = [1.0]
-            for ia, ib in inp.specs:
-                if ia is not None and ib is not None:
-                    c = math.cos(theta[ia] - theta[ib])
-                    q = (1.0 + c) * 0.25
-                    r = (1.0 - c) * 0.25
-                    probs = [p * e for p in probs for e in (q, r, r, q)]
-                else:
-                    probs = [p * 0.5 for p in probs for _ in (0, 1)]
-            total += inp.weight * math.fsum(p * w for p, w in zip(probs, inp.wins) if w)
-        return total
+        corr = self._cosines(theta)
+        return math.fsum(c * math.prod([corr[k] for k in key]) for c, key in self.terms)
 
+    def sinusoid(self, theta: Sequence[float], slot: int, value: float) -> tuple[float, float, float]:
+        """``(a, b, c)`` with ``value(theta with slot at t) == a*cos(t) + b*sin(t) + c``.
 
-_OUTCOMES = {
-    4: ((1, 1), (1, -1), (-1, 1), (-1, -1)),
-    2: ((1,), (-1,)),
-}
+        ``value`` must be ``value(theta)``; only the terms holding the slot
+        are visited, and ``c`` is ``value`` minus their current sum.
+        """
+        corr = self._cosines(theta)
+        a = b = 0.0
+        for partner, terms in self.touching[slot]:
+            r = 0.0
+            for c, rest in terms:
+                for k in rest:
+                    c *= corr[k]
+                r += c
+            a += r * math.cos(theta[partner])
+            b += r * math.sin(theta[partner])
+        t = theta[slot]
+        return a, b, value - (a * math.cos(t) + b * math.sin(t))
 
 
 def exact_quantum_value(
@@ -383,42 +463,39 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (c, yc) if yc > yd else (d, yd)
 
 
-def _exact_step(value_at, theta: np.ndarray, idx: int, current: float) -> float:
-    """Move ``theta[idx]`` to the exact maximum of ``value_at`` along that angle.
+def _exact_step(theta: list[float], idx: int, a: float, b: float, c: float, current: float) -> float:
+    """Move ``theta[idx]`` to the maximum of ``a*cos(t) + b*sin(t) + c``.
 
-    With every other angle fixed the value is exactly a*cos(t) + b*sin(t) + c:
-    the angle enters one pair correlator cos(t - t') per input, and the value
-    is multilinear in the correlators.  Samples at 0, pi/2 and pi fix a, b
-    and c; the maximum c + hypot(a, b) sits at atan2(b, a).  The angle moves
-    only when that maximum beats ``current``, so the ascent is monotone and
-    ties keep the angle.  Returns the new value.
+    That sinusoid is the value along the angle with every other angle
+    fixed; its maximum ``c + hypot(a, b)`` sits at ``atan2(b, a)``.  The
+    angle moves only when the maximum beats ``current``, so the ascent is
+    monotone and ties keep the angle.  Returns the new value.
     """
-    old = theta[idx]
-    samples = []
-    for t in (0.0, 0.5 * math.pi, math.pi):
-        theta[idx] = t
-        samples.append(value_at(theta))
-    v0, v_half, v_pi = samples
-    c = 0.5 * (v0 + v_pi)
-    a = 0.5 * (v0 - v_pi)
-    b = v_half - c
     peak = c + math.hypot(a, b)
     if peak > current:
         theta[idx] = math.atan2(b, a) % (2.0 * math.pi)
         return peak
-    theta[idx] = old
     return current
 
 
-def _ascend(ev: _Evaluator, theta: np.ndarray, opts: OptimizeOptions) -> tuple[float, bool]:
+def _check_options(opts: OptimizeOptions) -> None:
+    if opts.restarts < 1:
+        raise GraphGameError(f"restarts must be at least 1, got {opts.restarts!r}")
+    if opts.max_sweeps < 1:
+        raise GraphGameError(f"max_sweeps must be at least 1, got {opts.max_sweeps!r}")
+    if not (math.isfinite(opts.tolerance) and opts.tolerance >= 0.0):
+        raise GraphGameError(f"tolerance must be finite and non-negative, got {opts.tolerance!r}")
+
+
+def _ascend(ev: _Evaluator, theta: list[float], opts: OptimizeOptions) -> tuple[float, bool]:
     """Cyclic exact coordinate ascent; returns the exact value at the final angles."""
     value = ev.value(theta)
-    if not len(theta):
+    if not theta:
         return value, True
     for _ in range(opts.max_sweeps):
         before = value
         for idx in range(len(theta)):
-            value = _exact_step(ev.value, theta, idx, value)
+            value = _exact_step(theta, idx, *ev.sinusoid(theta, idx, value), value)
         if value - before < opts.tolerance:
             return ev.value(theta), True
     return ev.value(theta), False
@@ -433,6 +510,7 @@ def optimize_quantum(game: GraphicGame, options: OptimizeOptions | None = None) 
     returned strategy, hence a true lower bound.
     """
     opts = options or OptimizeOptions()
+    _check_options(opts)
     if not isinstance(game.payoff, ConsistencyPayoff):
         raise GraphGameError("optimize_quantum requires a consistency-mode game")
     strategy, model = build_strategy(game, allow_multiway=opts.allow_multiway)
@@ -441,16 +519,16 @@ def optimize_quantum(game: GraphicGame, options: OptimizeOptions | None = None) 
     ev = _Evaluator(game, strategy, model)
     k = len(ev.slots)
 
-    def run(restart: int) -> tuple[float, int, np.ndarray, bool]:
+    def run(restart: int) -> tuple[float, int, list[float], bool]:
         rng = np.random.default_rng(np.random.SeedSequence((opts.seed & (2**63 - 1), restart)))
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=k)
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=k).tolist()
         value, converged = _ascend(ev, theta, opts)
         return value, restart, theta, converged
 
     results = [run(r) for r in range(opts.restarts)]
     best = max(results, key=lambda r: (r[0], -r[1]))
     value, _, theta, converged = best
-    angles = {key: float(t) for key, t in zip(ev.slots, theta)}
+    angles = dict(zip(ev.slots, theta))
     return QuantumValueResult(
         value=value,
         strategy=strategy.with_angles(angles),
@@ -544,6 +622,7 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
     if not isinstance(game.payoff, TargetPayoff):
         raise GraphGameError("target_quantum_probe requires a target-mode game")
     opts = options or OptimizeOptions()
+    _check_options(opts)
     model = build_pair_model(game, allow_multiway=True)
     tables = game.payoff.targets.tables
     if not model.pairs:
@@ -560,7 +639,7 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
         (x, input_weight(game.distribution, x)) for x in input_vectors(n)
     ]
     weighted = [(x, w) for x, w in weighted if w != 0.0]
-    combos = list(_iter_product(*[_OUTCOMES[4] for _ in model.pairs]))
+    combos = list(_iter_product(*[((1, 1), (1, -1), (-1, 1), (-1, -1)) for _ in model.pairs]))
 
     def outcome_views(combo) -> dict[int, tuple[int, ...]]:
         per_player = {}
@@ -639,10 +718,22 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
     xstar = max(input_vectors(n), key=lambda x: input_weight(game.distribution, x)
                 + input_weight(game.distribution, tuple(1 - b for b in x)))
 
+    def sampled_sinusoid(tabs, theta, idx) -> tuple[float, float, float]:
+        # a*cos(t) + b*sin(t) + c through the values at t = 0, pi/2 and pi.
+        old = theta[idx]
+        samples = []
+        for t in (0.0, 0.5 * math.pi, math.pi):
+            theta[idx] = t
+            samples.append(value_of(tabs, theta))
+        theta[idx] = old
+        v0, v_half, v_pi = samples
+        c = 0.5 * (v0 + v_pi)
+        return 0.5 * (v0 - v_pi), v_half - c, c
+
     best = 0.0
-    for restart in range(max(1, opts.restarts)):
+    for restart in range(opts.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((opts.seed & (2**63 - 1), restart)))
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=len(slots))
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=len(slots)).tolist()
         tabs = keyed_tables(xstar)
         current = value_of(tabs, theta)
         for _ in range(opts.max_sweeps):
@@ -650,7 +741,7 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
                 best_response(tabs, theta, player)
             now = value_of(tabs, theta)
             for idx in range(len(theta)):
-                now = _exact_step(lambda th: value_of(tabs, th), theta, idx, now)
+                now = _exact_step(theta, idx, *sampled_sinusoid(tabs, theta, idx), now)
             if now - current < opts.tolerance:
                 break
             current = now

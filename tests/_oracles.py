@@ -2,9 +2,11 @@
 
 Everything here is deliberately written from first principles, separate
 from the code under test: a dense 4-dimensional statevector simulation of
-one entangled pair, a direct subset-enumeration of the sharing index, an
-ungrouped brute-force classical value, and a tiny random-game generator for
-property tests.
+one entangled pair and a whole-game statevector simulation of up to four,
+an enumeration of every measured-outcome tuple through the reference
+referee, a direct subset-enumeration of the sharing index, an ungrouped
+brute-force classical value, and tiny random-game and random-strategy
+generators for property tests.
 """
 
 from __future__ import annotations
@@ -14,8 +16,16 @@ from itertools import combinations, product
 
 import numpy as np
 
-from graphgame import AssignmentMap, ConsistencyPayoff, Graph, GraphicGame, IIDDistribution
+from graphgame import (
+    AssignmentMap,
+    ConsistencyPayoff,
+    Graph,
+    GraphicGame,
+    IIDDistribution,
+    QuantumStrategy,
+)
 from graphgame.model import OutputAssignment, evaluate_payoff, input_vectors, input_weight
+from graphgame.quantum import OutputExpr
 
 _KET = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)  # (|00> + |11>)/sqrt(2)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -41,6 +51,119 @@ def statevector_pair_probs(theta_a: float, theta_b: float) -> tuple[float, float
 def statevector_correlator(theta_a: float, theta_b: float) -> float:
     pp, pm, mp, mm = statevector_pair_probs(theta_a, theta_b)
     return pp - pm - mp + mm
+
+
+def _pair_vertices(game: GraphicGame) -> list[tuple[str, int, int]]:
+    """(vertex, lower owner, higher owner) for every vertex with two owners."""
+    owners: dict[str, set[int]] = {}
+    for i in game.players:
+        for x in (0, 1):
+            for v in game.owned(i, x):
+                owners.setdefault(v, set()).add(i)
+    return [(v, *sorted(who)) for v, who in sorted(owners.items()) if len(who) == 2]
+
+
+def _verdict(game: GraphicGame, strategy: QuantumStrategy, x, outcomes) -> int:
+    """Reference referee on the outputs wired from ``outcomes[(player, vertex)]``."""
+    values = {}
+    for i in game.players:
+        for v in game.owned(i, x[i - 1]):
+            expr = strategy.wiring[(i, x[i - 1], v)]
+            values[(i, v)] = expr.sign * math.prod(outcomes[(i, r)] for r in expr.refs)
+    return evaluate_payoff(game, x, OutputAssignment(values)).verdict
+
+
+def enumerated_quantum_value(game: GraphicGame, strategy: QuantumStrategy) -> float:
+    """Exact value by walking every outcome tuple of the measured halves.
+
+    Each tuple's probability is the product of ``(1 + a*b*cos(t_a - t_b))/4``
+    over pairs measured on both sides and 1/2 per half measured alone; its
+    verdict comes from ``evaluate_payoff``.
+    """
+    total = []
+    for x in input_vectors(game.n):
+        w = input_weight(game.distribution, x)
+        if w == 0.0:
+            continue
+        halves = []  # per pair with a measured half: [((player, vertex), angle or None)]
+        for v, a, b in _pair_vertices(game):
+            sides = [((i, v), strategy.angles.get((i, v, x[i - 1]))) for i in (a, b)]
+            if any(t is not None for _, t in sides):
+                halves.append(sides)
+        measured = [key for sides in halves for key, t in sides if t is not None]
+        for signs in product((1, -1), repeat=len(measured)):
+            outcomes = dict(zip(measured, signs))
+            prob = w
+            for (ka, ta), (kb, tb) in halves:
+                if ta is not None and tb is not None:
+                    prob *= (1.0 + outcomes[ka] * outcomes[kb] * math.cos(ta - tb)) / 4.0
+                else:
+                    prob *= 0.5
+            if _verdict(game, strategy, x, outcomes):
+                total.append(prob)
+    return math.fsum(total)
+
+
+def statevector_quantum_value(game: GraphicGame, strategy: QuantumStrategy) -> float:
+    """Exact value from a statevector of every pair of the game (at most 4).
+
+    The state is one ``_KET`` per two-owner vertex, qubit ``2k`` held by the
+    lower owner of pair ``k``.  At each input every measured half gets the
+    projectors ``_projector(angle, +-1)`` on a new outcome axis; the Born
+    weights of the outcome tuples are the squared norms of the projected
+    state, and each tuple's verdict comes from ``evaluate_payoff``.
+    """
+    pairs = _pair_vertices(game)
+    if len(pairs) > 4:
+        raise ValueError(f"statevector oracle takes at most 4 pairs, got {len(pairs)}")
+    state = np.ones(1)
+    for _ in pairs:
+        state = np.kron(state, _KET)
+    state = state.reshape((2,) * (2 * len(pairs)))
+    total = []
+    for x in input_vectors(game.n):
+        w = input_weight(game.distribution, x)
+        if w == 0.0:
+            continue
+        amp = state
+        measured = []
+        for k, (v, a, b) in enumerate(pairs):
+            for q, i in ((2 * k, a), (2 * k + 1, b)):
+                theta = strategy.angles.get((i, v, x[i - 1]))
+                if theta is None:
+                    continue
+                proj = np.stack([_projector(theta, 1), _projector(theta, -1)])
+                # The qubit axis q is replaced by (outcome, qubit); the qubit
+                # goes back to q and the outcome axis stays last.
+                amp = np.moveaxis(np.tensordot(amp, proj, axes=([q], [2])), -1, q)
+                measured.append((i, v))
+        born = (amp.reshape(state.size, -1) ** 2).sum(axis=0)
+        for prob, signs in zip(born, product((1, -1), repeat=len(measured))):
+            if _verdict(game, strategy, x, dict(zip(measured, signs))):
+                total.append(w * float(prob))
+    return math.fsum(total)
+
+
+def random_quantum_strategy(rng: np.random.Generator, game: GraphicGame) -> QuantumStrategy:
+    """Random angles on a random subset of held pair halves, random wiring.
+
+    Every owned vertex is wired to a random sign times the product of a
+    random subset of the halves its owner measures at that input.
+    """
+    angles = {}
+    for v, a, b in _pair_vertices(game):
+        for i in (a, b):
+            for x in (0, 1):
+                if v in game.owned(i, x) and rng.random() < 0.7:
+                    angles[(i, v, x)] = float(rng.uniform(0.0, 2.0 * math.pi))
+    wiring = {}
+    for i in game.players:
+        for x in (0, 1):
+            mine = sorted(v for (p, v, xx) in angles if p == i and xx == x)
+            for v in sorted(game.owned(i, x)):
+                refs = tuple(r for r in mine if rng.random() < 0.5)
+                wiring[(i, x, v)] = OutputExpr(int(rng.choice((1, -1))), refs)
+    return QuantumStrategy(angles=angles, wiring=wiring)
 
 
 def naive_sharing_index(game: GraphicGame, i: int) -> int | None:

@@ -162,6 +162,28 @@ class TestValue:
         assert report["advantage_observed"] == "true"
         assert float(report["omega_q_lower"]) > float(report["omega_c"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["value", "chsh", "--quantum", "--restarts", "0"],
+            ["value", "chsh", "--quantum", "--restarts", "-3"],
+            ["value", "chsh", "--quantum", "--tolerance", "nan"],
+            ["value", "chsh", "--quantum", "--tolerance", "-1e-9"],
+            ["value", "chsh", "--quantum", "--tolerance", "inf"],
+            ["gyni", "gyni3", "--restarts", "0"],
+        ],
+        ids=["restarts-0", "restarts-neg", "tol-nan", "tol-neg", "tol-inf", "gyni-restarts-0"],
+    )
+    def test_bad_optimizer_arguments_are_usage_errors(self, argv, capsys):
+        command, name, *rest = argv
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, fixture_path(name), *rest])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestSimulate:
     def test_session_report(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from graphgame import (
     ClosedFormParams,
+    DeterministicStrategy,
     GraphGameError,
     MultiwaySharedVertexError,
     OptimizeOptions,
@@ -28,7 +29,14 @@ from graphgame import (
 from graphgame.quantum import StrategyError, _Evaluator, validate_strategy
 from graphgame import games
 
-from _oracles import random_game, statevector_correlator, statevector_pair_probs
+from _oracles import (
+    enumerated_quantum_value,
+    random_game,
+    random_quantum_strategy,
+    statevector_correlator,
+    statevector_pair_probs,
+    statevector_quantum_value,
+)
 
 CHSH_QUANTUM = (2.0 + math.sqrt(2.0)) / 4.0
 
@@ -132,12 +140,65 @@ class TestExactValue:
             validate_strategy(g, broken, model)
 
 
+class TestOracleAgreement:
+    """exact_quantum_value against the outcome-tuple and statevector oracles."""
+
+    @staticmethod
+    def assert_agrees(game, strategy):
+        value = exact_quantum_value(game, strategy, allow_multiway=True)
+        assert value == pytest.approx(enumerated_quantum_value(game, strategy), abs=1e-12)
+        assert value == pytest.approx(statevector_quantum_value(game, strategy), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "game",
+        [games.chsh_game(), games.star_game(3, 0.3), games.star_game(4), games.chain_game(0.7)],
+        ids=["chsh", "star3", "star4", "chain4"],
+    )
+    def test_named_games(self, game):
+        rng = np.random.default_rng(21)
+        template, _ = build_strategy(game)
+        for _ in range(3):
+            self.assert_agrees(
+                game,
+                template.with_angles(
+                    {key: float(rng.uniform(0.0, 2.0 * math.pi)) for key in template.angles}
+                ),
+            )
+            self.assert_agrees(game, random_quantum_strategy(rng, game))
+
+    def test_random_games(self):
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            game = random_game(rng)
+            template, _ = build_strategy(game, allow_multiway=True)
+            self.assert_agrees(
+                game,
+                template.with_angles(
+                    {key: float(rng.uniform(0.0, 2.0 * math.pi)) for key in template.angles}
+                ),
+            )
+            self.assert_agrees(game, random_quantum_strategy(rng, game))
+
+    def test_deterministic_strategies(self):
+        rng = np.random.default_rng(23)
+        for game in [games.chsh_game(), games.star_game(3), games.chain_game()] + [
+            random_game(rng) for _ in range(20)
+        ]:
+            signs = {
+                (i, x, v): int(rng.choice((1, -1)))
+                for i in game.players
+                for x in (0, 1)
+                for v in game.owned(i, x)
+            }
+            self.assert_agrees(game, deterministic_as_quantum(game, DeterministicStrategy(signs)))
+
+
 class TestOneAngleIdentity:
     @pytest.mark.parametrize("game", [games.chsh_game(), games.star_game(4), games.chain_game()],
                              ids=["chsh", "star4", "chain4"])
     def test_value_is_sinusoid_in_each_angle(self, game):
         # The exact coordinate step relies on this: along one angle the value
-        # is a*cos(t) + b*sin(t) + c, fitted from t = 0, pi/2 and pi.
+        # is a*cos(t) + b*sin(t) + c, read off the terms holding that angle.
         rng = np.random.default_rng(12)
         strategy, _ = build_strategy(game)
         base = {key: float(rng.uniform(0.0, 2.0 * math.pi)) for key in strategy.angles}
@@ -146,21 +207,17 @@ class TestOneAngleIdentity:
         model = build_pair_model(game)
         validate_strategy(game, strategy, model)
         ev = _Evaluator(game, strategy, model)
-        assert ev.value([base[k] for k in ev.slots]) == exact_quantum_value(
-            game, strategy.with_angles(base)
-        )
+        theta = [base[k] for k in ev.slots]
+        value = ev.value(theta)
+        assert value == exact_quantum_value(game, strategy.with_angles(base))
 
-        def value_at(key, t):
-            return ev.value([t if k == key else base[k] for k in ev.slots])
-
-        for key in base:
-            v0, v_half, v_pi = (value_at(key, t) for t in (0.0, math.pi / 2, math.pi))
-            c = (v0 + v_pi) / 2
-            a = (v0 - v_pi) / 2
-            b = v_half - c
+        for slot in range(len(theta)):
+            a, b, c = ev.sinusoid(theta, slot, value)
             for t in rng.uniform(0.0, 2.0 * math.pi, size=4):
-                fitted = a * math.cos(t) + b * math.sin(t) + c
-                assert value_at(key, t) == pytest.approx(fitted, abs=1e-12)
+                moved = theta[:slot] + [float(t)] + theta[slot + 1:]
+                assert ev.value(moved) == pytest.approx(
+                    a * math.cos(t) + b * math.sin(t) + c, abs=1e-12
+                )
 
 
 class TestOptimizer:
@@ -215,6 +272,24 @@ class TestOptimizer:
         # must reach omega_c where the quantum gain is small.
         result = optimize_quantum(game, OptimizeOptions(restarts=1, seed=seed))
         assert result.value >= classical_value(game)[0] - 1e-12
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            OptimizeOptions(restarts=0),
+            OptimizeOptions(restarts=-3),
+            OptimizeOptions(max_sweeps=0),
+            OptimizeOptions(tolerance=-1e-9),
+            OptimizeOptions(tolerance=math.nan),
+            OptimizeOptions(tolerance=math.inf),
+        ],
+        ids=["restarts-0", "restarts-neg", "sweeps-0", "tol-neg", "tol-nan", "tol-inf"],
+    )
+    def test_rejects_bad_options(self, options):
+        with pytest.raises(GraphGameError):
+            optimize_quantum(games.chsh_game(), options)
+        with pytest.raises(GraphGameError):
+            target_quantum_probe(games.gyni_game(), options)
 
     def test_chain_gap_is_real(self):
         g = games.chain_game()
