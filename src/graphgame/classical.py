@@ -10,6 +10,11 @@ constrained region is dropped outright, and for a high-block player such a
 group merely absorbs the total-product condition (the witness sets its
 representative to whatever sign restores the product to +1).
 
+The win factors come from ``model.referee_checks``: each side of a check
+becomes a mask over its player's group bits, and a check with a side that
+holds an absorbing group is vacuous.  The search itself never restates the
+referee's conditions.
+
 The search then eliminates one responder player exactly.  Its code is a
 pair (input-0 pattern, input-1 pattern), and with every other player's code
 fixed, inputs where the responder sees 0 depend only on the first pattern and
@@ -26,10 +31,11 @@ for target games, and the injectivity check for target functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cache
+from functools import reduce
 from itertools import product as _iter_product
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -42,6 +48,8 @@ from .model import (
     bits_key,
     input_vectors,
     input_weight,
+    referee_checks,
+    weighted_inputs,
 )
 
 DEFAULT_STRATEGY_BUDGET = 1 << 24
@@ -102,27 +110,30 @@ class _Enumeration:
     choices: tuple[int, ...]  # joint (input0, input1) patterns per player
     group_bits: dict[tuple[int, int], int]
     groups: dict[tuple[int, int], list[tuple[str, ...]]]
-    region_masks: dict[tuple[int, int, int, int], int]  # (i, x_i, j, x_j) -> bit mask
-    a_checked: dict[tuple[int, int], bool]  # high-block (i, x): total product enforced?
     free_groups: dict[tuple[int, int], tuple[str, ...]]  # absorbing group, if any
-    dropped: dict[tuple[int, int], list[tuple[str, ...]]]  # unconstrained low-block groups
 
     @property
     def space_size(self) -> int:
-        size = 1
-        for c in self.choices:
-            size *= c
-        return size
+        return math.prod(self.choices)
+
+    def side_mask(self, i: int, x: int, verts) -> int | None:
+        """Bits of player i's input-x groups that lie in ``verts``, MSB-first.
+
+        None when ``verts`` holds the absorbing group, whose sign can always
+        satisfy the check.
+        """
+        free = self.free_groups.get((i, x))
+        if free and free[0] in verts:
+            return None
+        g = self.group_bits[(i, x)]
+        return sum(1 << (g - 1 - k) for k, grp in enumerate(self.groups[(i, x)]) if grp[0] in verts)
 
 
 def _build_enumeration(game: GraphicGame) -> _Enumeration:
     n, m = game.n, game.m
     group_bits: dict[tuple[int, int], int] = {}
     groups: dict[tuple[int, int], list[tuple[str, ...]]] = {}
-    region_masks: dict[tuple[int, int, int, int], int] = {}
-    a_checked: dict[tuple[int, int], bool] = {}
     free_groups: dict[tuple[int, int], tuple[str, ...]] = {}
-    dropped: dict[tuple[int, int], list[tuple[str, ...]]] = {}
 
     for i in range(1, n + 1):
         if i <= m:
@@ -136,45 +147,21 @@ def _build_enumeration(game: GraphicGame) -> _Enumeration:
                     (j, xj) for j in relevant for xj in (0, 1) if v in game.owned(j, xj)
                 )
                 sigs.setdefault(sig, []).append(v)
-            ordered = sorted(sigs.items(), key=lambda kv: kv[1][0] if kv[1] else "")
-            kept: list[tuple[frozenset, tuple[str, ...]]] = []
-            dropped[(i, x)] = []
-            for sig, verts in ordered:
-                if sig:
-                    kept.append((sig, tuple(verts)))
-                elif i > m:
-                    # One sign free of every region: it can always restore the
-                    # total product, so the product condition never binds.
-                    free_groups[(i, x)] = tuple(verts)
-                else:
-                    dropped[(i, x)].append(tuple(verts))
-            groups[(i, x)] = [verts for _, verts in kept]
-            group_bits[(i, x)] = len(kept)
-            if i > m:
-                a_checked[(i, x)] = (i, x) not in free_groups
-            # Bit k of a pattern drives group k; weight is MSB-first.
-            g = len(kept)
-            for j in range(1, n + 1):
-                if j == i:
-                    continue
-                for xj in (0, 1):
-                    mask = 0
-                    for k, (sig, _) in enumerate(kept):
-                        if (j, xj) in sig:
-                            mask |= 1 << (g - 1 - k)
-                    region_masks[(i, x, j, xj)] = mask
+            free = sigs.pop(frozenset(), None)
+            if free and i > m:
+                # One sign free of every region: it can always restore the
+                # total product, so the product condition never binds.
+                free_groups[(i, x)] = tuple(free)
+            # Groups in order of their first vertex; a low-block group free of
+            # every region is dropped.
+            groups[(i, x)] = sorted(tuple(verts) for verts in sigs.values())
+            group_bits[(i, x)] = len(groups[(i, x)])
 
     choices = tuple(
         1 << (group_bits[(i, 0)] + group_bits[(i, 1)]) for i in range(1, n + 1)
     )
     return _Enumeration(
-        choices=choices,
-        group_bits=group_bits,
-        groups=groups,
-        region_masks=region_masks,
-        a_checked=a_checked,
-        free_groups=free_groups,
-        dropped=dropped,
+        choices=choices, group_bits=group_bits, groups=groups, free_groups=free_groups
     )
 
 
@@ -191,21 +178,6 @@ def _patterns_for(enum: _Enumeration, i: int, x: int) -> np.ndarray:
 def _parity_sign(patterns: np.ndarray, mask: int) -> np.ndarray:
     ones = np.bitwise_count(patterns & np.uint64(mask)).astype(np.int8)
     return (1 - 2 * (ones & 1)).astype(np.int8)
-
-
-def _pair_targets(game: GraphicGame, x: Sequence[int]):
-    """Constrained pairs at input x: (i, j, wanted product of region signs)."""
-    out = []
-    for i in range(1, game.m + 1):
-        for j in range(game.m + 1, game.n + 1):
-            if game.owned(i, x[i - 1]) & game.owned(j, x[j - 1]):
-                want = -1 if x[i - 1] == 1 and x[j - 1] == 1 else 1
-                out.append((i, j, want))
-    for i in range(game.m + 1, game.n + 1):
-        for j in range(i + 1, game.n + 1):
-            if game.owned(i, x[i - 1]) & game.owned(j, x[j - 1]):
-                out.append((i, j, 1))
-    return out
 
 
 def _responder(enum: _Enumeration) -> int:
@@ -274,33 +246,35 @@ def classical_value(
         dims[axis_of[i - 1]] = len(pat)
         return _parity_sign(pat, mask).reshape(dims)
 
-    # Factors depend on the input only through the players they involve, so
-    # each is built once and shared by every input that uses it.
-    @cache
-    def unary(i: int, x: int) -> np.ndarray:
-        return sign(i, x, (1 << enum.group_bits[(i, x)]) - 1) == 1
+    # A check is fixed by the players of its first and last side (one side
+    # for (a), two for (b) and (c)) and their inputs, so each factor is built
+    # once and shared by every input that has the check.  None marks a
+    # vacuous check.
+    built: dict[tuple[int, int, int, int], np.ndarray | None] = {}
 
-    @cache
-    def pair(i: int, xi: int, j: int, xj: int, want: int) -> np.ndarray:
-        zi = sign(i, xi, enum.region_masks[(i, xi, j, xj)])
-        zj = sign(j, xj, enum.region_masks[(j, xj, i, xi)])
-        return zi * zj == want
+    def factor(x, sides, parity: int) -> np.ndarray | None:
+        signs = []
+        for i, verts in sides:
+            mask = enum.side_mask(i, x[i - 1], verts)
+            if mask is None:
+                return None
+            signs.append(sign(i, x[i - 1], mask))
+        return reduce(np.multiply, signs) == 1 - 2 * parity
 
     # Per input vector: its weight, the accumulator it feeds (the responder's
-    # bit) and its win factors, each broadcastable over that accumulator:
-    # unary (high-block product checks) and pair (region product targets).
+    # bit) and its referee checks as win factors, each broadcastable over
+    # that accumulator.
     per_input: list[tuple[float, int, list[np.ndarray]]] = []
-    for x in input_vectors(n):
-        w = input_weight(game.distribution, x)
-        if w == 0.0:
-            continue
-        factors = [
-            unary(i, x[i - 1])
-            for i in range(game.m + 1, n + 1)
-            if enum.a_checked.get((i, x[i - 1])) and enum.group_bits[(i, x[i - 1])] > 0
-        ]
-        factors += [pair(i, x[i - 1], j, x[j - 1], want) for i, j, want in _pair_targets(game, x)]
-        per_input.append((w, x[r], factors))
+    for x, w in weighted_inputs(game.distribution, n):
+        wins = []
+        for sides, parity in referee_checks(game, x):
+            (i, _), (j, _) = sides[0], sides[-1]
+            key = (i, x[i - 1], j, x[j - 1])
+            if key not in built:
+                built[key] = factor(x, sides, parity)
+            if built[key] is not None:
+                wins.append(built[key])
+        per_input.append((w, x[r], wins))
 
     best_value = -1.0
     best_flat = 0
@@ -379,10 +353,7 @@ def strategy_value(game: GraphicGame, strategy: DeterministicStrategy) -> float:
     from .model import OutputAssignment, evaluate_payoff
 
     total = 0.0
-    for x in input_vectors(game.n):
-        w = input_weight(game.distribution, x)
-        if w == 0.0:
-            continue
+    for x, w in weighted_inputs(game.distribution, game.n):
         values = {
             (i, v): strategy.signs[(i, x[i - 1], v)]
             for i in game.players
@@ -423,13 +394,18 @@ def closed_form_shared_classical(params: ClosedFormParams) -> float:
     return params.p_star * (p + (1.0 - p) ** l)
 
 
+def _best_complementary_pair(dist: InputDistribution, n: int) -> tuple[tuple[int, ...], float]:
+    """The first x that maximises P(x) + P(~x), and that mass."""
+    masses = [
+        (x, input_weight(dist, x) + input_weight(dist, tuple(1 - b for b in x)))
+        for x in input_vectors(n)
+    ]
+    return max(masses, key=lambda xm: xm[1])
+
+
 def gyni_classical_bound(dist: InputDistribution, n: int) -> float:
     """Best complementary-pair mass: max over x of P(x) + P(~x)."""
-    best = 0.0
-    for x in input_vectors(n):
-        flipped = tuple(1 - b for b in x)
-        best = max(best, input_weight(dist, x) + input_weight(dist, flipped))
-    return best
+    return _best_complementary_pair(dist, n)[1]
 
 
 def check_injective(targets, n: int) -> bool:
@@ -459,8 +435,7 @@ def target_value_from_tables(
     if space > budget:
         raise StrategySpaceError(space, budget)
 
-    weighted = [(x, input_weight(dist, x)) for x in input_vectors(n)]
-    weighted = [(x, w) for x, w in weighted if w != 0.0]
+    weighted = weighted_inputs(dist, n)
     best = 0.0
     response_spaces = [
         list(_iter_product(vals, repeat=2)) for vals in values_per_player

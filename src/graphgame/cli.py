@@ -16,8 +16,11 @@ lower-bounds the quantum value by exact coordinate ascent over the
 measurement angles: each step reads the sinusoid along one angle off the
 compiled correlator polynomial in one pass over the terms holding that
 angle and jumps to its maximum, stopping once a sweep gains less than
-``--tolerance``.  ``--restarts`` below 1 and a negative or non-finite
-``--tolerance`` are usage errors (exit 2).
+``--tolerance``.  These are usage errors (exit 2): ``--restarts`` or
+``--rounds`` below 1, a negative ``--budget`` or ``--pair-budget``, and a
+negative or non-finite ``--tolerance``.  A budget of 0 is allowed: every
+classical search, and every quantum one with a pair, then exceeds it.
+The package needs NumPy 2.0 or later.
 """
 
 from __future__ import annotations
@@ -48,8 +51,20 @@ from .quantum import (
 from .runner import SessionConfig, StrategyMismatchError, run_session
 
 
-def _emit(pairs) -> None:
+def _emit(pairs, code: int = 0) -> int:
+    """Print the report and pass on its exit code."""
     sys.stdout.write(io.render_report(pairs))
+    return code
+
+
+def _fail(pairs, code: int, message: str, *extra: tuple[str, str]) -> int:
+    """Finish the report with ``status: error``, ``message`` and ``extra`` lines."""
+    pairs += [("status", "error"), ("error", message), *extra]
+    return _emit(pairs, code)
+
+
+def _over_budget(pairs, exc, space_size: int) -> int:
+    return _fail(pairs, 4, str(exc), ("space_size", str(space_size)), ("budget", str(exc.budget)))
 
 
 def _load_spec(path, pairs) -> object | None:
@@ -86,25 +101,19 @@ def cmd_validate(args) -> int:
     pairs = [("command", "validate"), ("spec", str(args.spec))]
     game, code = _load_valid_spec(args.spec, pairs)
     if game is None:
-        _emit(pairs)
-        return code
+        return _emit(pairs, code)
     pairs.append(("status", "ok"))
     pairs.append(("violations", "0"))
-    _emit(pairs)
-    return 0
+    return _emit(pairs)
 
 
 def cmd_classify(args) -> int:
     pairs = [("command", "classify"), ("spec", str(args.spec))]
     game, code = _load_valid_spec(args.spec, pairs)
     if game is None:
-        _emit(pairs)
-        return code
+        return _emit(pairs, code)
     if not isinstance(game.payoff, ConsistencyPayoff):
-        pairs.append(("status", "error"))
-        pairs.append(("error", "classify requires a consistency-mode game"))
-        _emit(pairs)
-        return 6
+        return _fail(pairs, 6, "classify requires a consistency-mode game")
     t0 = time.perf_counter()
     result = classification.classify(game, semantics=args.semantics, budget=args.budget)
     pairs.append(("semantics", args.semantics))
@@ -115,21 +124,16 @@ def cmd_classify(args) -> int:
     used = result.classical_value_used
     pairs.append(("omega_c_used", io.fmt_float(used) if used is not None else "unavailable"))
     pairs.append(("timing.classify_ms", io.fmt_float((time.perf_counter() - t0) * 1e3)))
-    _emit(pairs)
-    return 0
+    return _emit(pairs)
 
 
 def cmd_value(args) -> int:
     pairs = [("command", "value"), ("spec", str(args.spec))]
     game, code = _load_valid_spec(args.spec, pairs)
     if game is None:
-        _emit(pairs)
-        return code
+        return _emit(pairs, code)
     if not isinstance(game.payoff, ConsistencyPayoff):
-        pairs.append(("status", "error"))
-        pairs.append(("error", "value requires a consistency-mode game (see the gyni command)"))
-        _emit(pairs)
-        return 6
+        return _fail(pairs, 6, "value requires a consistency-mode game (see the gyni command)")
     want_classical = args.classical or not args.quantum
     omega_c = None
     witness = None
@@ -138,12 +142,7 @@ def cmd_value(args) -> int:
         try:
             omega_c, witness = classical_value(game, budget=args.budget)
         except StrategySpaceError as exc:
-            pairs.append(("status", "error"))
-            pairs.append(("error", str(exc)))
-            pairs.append(("space_size", str(exc.space_size)))
-            pairs.append(("budget", str(exc.budget)))
-            _emit(pairs)
-            return 4
+            return _over_budget(pairs, exc, exc.space_size)
         pairs.append(("omega_c", io.fmt_float(omega_c)))
         pairs.append(("omega_c_witness", json.dumps(json.loads(io.serialize_strategy(witness)), sort_keys=True)))
         pairs.append(("timing.classical_ms", io.fmt_float((time.perf_counter() - t0) * 1e3)))
@@ -160,12 +159,7 @@ def cmd_value(args) -> int:
         try:
             result = optimize_quantum(game, opts)
         except PairBudgetError as exc:
-            pairs.append(("status", "error"))
-            pairs.append(("error", str(exc)))
-            pairs.append(("space_size", str(exc.pairs)))
-            pairs.append(("budget", str(exc.budget)))
-            _emit(pairs)
-            return 4
+            return _over_budget(pairs, exc, exc.pairs)
         omega_q = result.value
         pairs.append(("omega_q_lower", io.fmt_float(result.value)))
         pairs.append(("restarts_used", str(result.restarts_used)))
@@ -180,81 +174,67 @@ def cmd_value(args) -> int:
     pairs.append(("timing.classify_ms", io.fmt_float((time.perf_counter() - t0) * 1e3)))
     if omega_c is not None and omega_q is not None:
         pairs.append(("advantage_observed", "true" if omega_q > omega_c else "false"))
-    _emit(pairs)
-    return 0
+    return _emit(pairs)
 
 
 def cmd_simulate(args) -> int:
     pairs = [("command", "simulate"), ("spec", str(args.spec))]
     game, code = _load_valid_spec(args.spec, pairs)
     if game is None:
-        _emit(pairs)
-        return code
+        return _emit(pairs, code)
     try:
         strategy = io.parse_strategy_file(args.strategy)
     except FileNotFoundError:
-        pairs.append(("status", "error"))
-        pairs.append(("error", f"no such strategy file: {args.strategy}"))
-        _emit(pairs)
-        return 5
+        return _fail(pairs, 5, f"no such strategy file: {args.strategy}")
     except io.StrategyFileError as exc:
-        pairs.append(("status", "error"))
-        pairs.append(("error", f"bad strategy file: {exc}"))
-        _emit(pairs)
-        return 5
+        return _fail(pairs, 5, f"bad strategy file: {exc}")
     config = SessionConfig(rounds=args.rounds, seed=args.seed, strategy=strategy)
     try:
         stats = run_session(game, config)
     except (StrategyMismatchError, GraphGameError) as exc:
-        pairs.append(("status", "error"))
-        pairs.append(("error", str(exc)))
-        _emit(pairs)
-        return 5
+        return _fail(pairs, 5, str(exc))
     pairs.append(("rounds", str(stats.rounds)))
     pairs.append(("wins", str(stats.wins)))
     pairs.append(("estimate", io.fmt_float(stats.estimate)))
     pairs.append(("stderr", io.fmt_float(stats.stderr)))
     for key, (plays, wins) in stats.per_input_counts.items():
         pairs.append((f"per_input.{key}", f"{plays} {wins}"))
-    _emit(pairs)
-    return 0
+    return _emit(pairs)
 
 
 def cmd_gyni(args) -> int:
     pairs = [("command", "gyni"), ("spec", str(args.spec))]
     game, code = _load_valid_spec(args.spec, pairs)
     if game is None:
-        _emit(pairs)
-        return code
+        return _emit(pairs, code)
     if not isinstance(game.payoff, TargetPayoff):
-        pairs.append(("status", "error"))
-        pairs.append(("error", "gyni requires a target-mode game"))
-        _emit(pairs)
-        return 6
+        return _fail(pairs, 6, "gyni requires a target-mode game")
     injective = check_injective(game.payoff.targets, game.n)
     pairs.append(("injective", "true" if injective else "false"))
     pairs.append(("classical_bound", io.fmt_float(gyni_classical_bound(game.distribution, game.n))))
     try:
         brute = target_classical_value(game, budget=args.budget)
     except StrategySpaceError as exc:
-        pairs.append(("status", "error"))
-        pairs.append(("error", str(exc)))
-        pairs.append(("space_size", str(exc.space_size)))
-        pairs.append(("budget", str(exc.budget)))
-        _emit(pairs)
-        return 4
+        return _over_budget(pairs, exc, exc.space_size)
     pairs.append(("brute_force_value", io.fmt_float(brute)))
     opts = OptimizeOptions(restarts=args.restarts, seed=args.seed)
     pairs.append(("quantum_probe", io.fmt_float(target_quantum_probe(game, opts))))
-    _emit(pairs)
-    return 0
+    return _emit(pairs)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_budget = _int_at_least(0)
 
 
 def _tolerance(text: str) -> float:
@@ -282,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(classification.SEMANTICS),
         default=classification.COMMON_INTERSECTION,
     )
-    p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_STRATEGY_BUDGET)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("value", help="classical value and/or quantum lower bound")
@@ -292,14 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=_tolerance, default=OptimizeOptions.tolerance)
-    p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
-    p.add_argument("--pair-budget", type=int, default=DEFAULT_PAIR_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_STRATEGY_BUDGET)
+    p.add_argument("--pair-budget", type=_budget, default=DEFAULT_PAIR_BUDGET)
     p.set_defaults(func=cmd_value)
 
     p = sub.add_parser("simulate", help="Monte Carlo referee sessions")
     p.add_argument("spec")
     p.add_argument("--strategy", required=True)
-    p.add_argument("--rounds", type=int, default=10000)
+    p.add_argument("--rounds", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
@@ -307,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--restarts", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_STRATEGY_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_STRATEGY_BUDGET)
     p.set_defaults(func=cmd_gyni)
 
     return parser

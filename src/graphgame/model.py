@@ -20,6 +20,12 @@ region products, never one player's product alone.  With that reading the
 two-vertex game where player 1 owns ``v_{x_1+1}`` and player 2 owns both
 vertices is exactly the CHSH predicate.
 
+Every condition says that a product of signs has a fixed parity, so each is
+a GF(2) constraint.  ``referee_checks`` states them once as ``(sides,
+parity)`` checks, and both exact solvers (the classical search and the
+quantum correlator polynomial) are built from those checks alone.
+``evaluate_payoff`` scores a round on its own, as the independent reference.
+
 Conventions used across the package: players are 1-based, inputs are bits,
 an input vector is a tuple of n bits, vertex identifiers are strings
 (integers are normalised to their decimal string), signs are the Python
@@ -32,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _iter_product
 from typing import Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 
 class GraphGameError(Exception):
@@ -224,6 +232,11 @@ def bits_key(x: Sequence[int]) -> str:
     return "".join(str(b) for b in x)
 
 
+def _substream(seed: int, k: int) -> np.random.Generator:
+    """Random substream ``k`` of ``seed``: restart k, or round k of a session."""
+    return np.random.default_rng(np.random.SeedSequence((seed & (2**63 - 1), k)))
+
+
 def _as_input_vector(x: Sequence[int], n: int) -> tuple[int, ...]:
     xs = tuple(int(b) for b in x)
     if len(xs) != n:
@@ -398,6 +411,31 @@ def evaluate_payoff(game: GraphicGame, x: Sequence[int], assignment: OutputAssig
     return PayoffBreakdown(solo_products=solo, region_products=regions, verdict=1 if ok else 0)
 
 
+Side = tuple[int, frozenset[str]]
+
+
+def referee_checks(game: GraphicGame, x: Sequence[int]) -> list[tuple[tuple[Side, ...], int]]:
+    """Conditions (a)-(c) at input ``x`` as parity checks ``(sides, parity)``.
+
+    A side ``(player, vertices)`` stands for the product of that player's
+    signs over those vertices; a check holds when the product over all its
+    sides is ``(-1)**parity``, and a round is won iff every check holds.
+    Checks come in the referee's order: the solo products of players
+    ``> m``, then each constrained pair ``i < j``.  Empty sets impose
+    nothing and yield no check.
+    """
+    n, m = game.n, game.m
+    owned = [frozenset()] + [game.assignments.owned[(i, b)] for i, b in enumerate(x, 1)]
+    checks = [(((i, owned[i]),), 0) for i in range(m + 1, n + 1) if owned[i]]
+    for i in range(1, n + 1):
+        for j in range(max(i + 1, m + 1), n + 1):
+            region = owned[i] & owned[j]
+            if region:
+                want = int(i <= m and x[i - 1] == 1 and x[j - 1] == 1)
+                checks.append((((i, region), (j, region)), want))
+    return checks
+
+
 def evaluate_target_payoff(game: GraphicGame, x: Sequence[int], declared) -> int:
     """Score one round of a target game: 1 iff every declared value matches.
 
@@ -454,3 +492,9 @@ def input_weight(dist: InputDistribution, x: Sequence[int]) -> float:
     if isinstance(dist, JointDistribution):
         return dist.table.get(bits_key(tuple(int(b) for b in x)), 0.0)
     return input_probability(dist, x)
+
+
+def weighted_inputs(dist: InputDistribution, n: int) -> list[tuple[tuple[int, ...], float]]:
+    """Every input vector with a nonzero weight, paired with it, in input order."""
+    weighted = [(x, input_weight(dist, x)) for x in input_vectors(n)]
+    return [(x, w) for x, w in weighted if w != 0.0]

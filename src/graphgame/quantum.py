@@ -16,11 +16,12 @@ Outcome statistics for one pair measured along ``theta_a`` and ``theta_b``:
 with uniform marginals; a half that nobody measures behaves as an
 independent fair sign.  Winning probabilities are exact sums of one
 compiled correlator polynomial per strategy, ``sum coeff * prod
-cos(theta_a - theta_b)``: the referee's conditions are parity constraints
-on the measured outcomes, and their GF(2) solution space gives every
-coefficient in closed form, with no enumeration of outcome tuples.  So
-every optimizer result is a genuine lower bound on the game's quantum
-value, never an estimate.
+cos(theta_a - theta_b)``: substituting the wiring into the referee's
+checks (``model.referee_checks``) turns them into parity constraints on the
+measured outcomes, and their GF(2) solution space gives every coefficient
+in closed form, with no enumeration of outcome tuples.  So every optimizer
+result is a genuine lower bound on the game's quantum value, never an
+estimate.
 
 Vertices owned by three or more players have no pair here and are rejected
 by default; passing ``allow_multiway=True`` treats them as unentangled
@@ -35,16 +36,16 @@ from dataclasses import dataclass
 from itertools import product as _iter_product
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
-from .classical import DeterministicStrategy, target_value_from_tables
+from .classical import DeterministicStrategy, _best_complementary_pair, target_value_from_tables
 from .model import (
     ConsistencyPayoff,
     GraphGameError,
     GraphicGame,
     TargetPayoff,
-    input_vectors,
-    input_weight,
+    _substream,
+    bits_key,
+    referee_checks,
+    weighted_inputs,
 )
 
 DEFAULT_PAIR_BUDGET = 12
@@ -208,12 +209,7 @@ def build_strategy(
     """
     model = build_pair_model(game, allow_multiway=allow_multiway)
     pair_owner = {v: (a, b) for v, a, b in model.pairs}
-    all_owned: dict[str, set[int]] = {}
-    for i in game.players:
-        for x in (0, 1):
-            for v in game.owned(i, x):
-                all_owned.setdefault(v, set()).add(i)
-    solo = {v for v, who in all_owned.items() if len(who) == 1}
+    shared = set(pair_owner) | set(model.multiway)
 
     designated: dict[frozenset[int], str] = {}
     for v, a, b in model.pairs:
@@ -240,7 +236,7 @@ def build_strategy(
             if i > game.m:
                 odd = tuple(sorted(r for r, c in refs_used.items() if c % 2))
                 if odd:
-                    slack = next((v for v in owned if v in solo), None)
+                    slack = next((v for v in owned if v not in shared), None)
                     if slack is not None:
                         exprs[slack] = OutputExpr(1, odd)
             for v, expr in exprs.items():
@@ -269,36 +265,24 @@ def _parity_constraints(
     x: Sequence[int],
     bit: Mapping[tuple[int, str], int],
 ) -> list[tuple[int, int]]:
-    """The referee's conditions (a)-(c) at ``x`` as parity constraints.
+    """``referee_checks`` at ``x`` with each side's wired outputs substituted.
 
     Outcome bit ``o`` stands for the sign ``(-1)**o`` of the measured half
     ``(player, vertex)`` whose bitmask is ``bit[...]``, so every wired output
     is ``sign * (-1)**popcount(outcomes & mask)``.  Each returned ``(mask,
     parity)`` holds when ``popcount(outcomes & mask)`` has that parity, and
-    the round is won iff all of them hold.  Mirrors ``evaluate_payoff``.
+    the round is won iff all of them hold.
     """
-
-    def product(i: int, verts) -> tuple[int, int]:
-        mask = parity = 0
-        for v in verts:
-            expr = wiring[(i, x[i - 1], v)]
-            parity ^= expr.sign < 0
-            for r in expr.refs:
-                mask ^= bit[(i, r)]
-        return mask, parity
-
-    low, high = range(1, game.m + 1), range(game.m + 1, game.n + 1)
-    constraints = [product(i, game.owned(i, x[i - 1])) for i in high]
-    regions = [(i, j) for i in low for j in high]
-    regions += [(i, j) for i in high for j in high if i < j]
-    for i, j in regions:
-        region = game.owned(i, x[i - 1]) & game.owned(j, x[j - 1])
-        if not region:
-            continue
-        mi, pi = product(i, region)
-        mj, pj = product(j, region)
-        want = int(i <= game.m and x[i - 1] == 1 and x[j - 1] == 1)
-        constraints.append((mi ^ mj, pi ^ pj ^ want))
+    constraints = []
+    for sides, parity in referee_checks(game, x):
+        mask = 0
+        for i, verts in sides:
+            for v in verts:
+                expr = wiring[(i, x[i - 1], v)]
+                parity ^= expr.sign < 0
+                for r in expr.refs:
+                    mask ^= bit[(i, r)]
+        constraints.append((mask, parity))
     return constraints
 
 
@@ -350,10 +334,7 @@ class _Evaluator:
         index = {k: i for i, k in enumerate(self.slots)}
         # Monomial (its correlators' slot pairs, in pair order) -> coefficient.
         coeffs: dict[tuple[tuple[int, int], ...], float] = {}
-        for x in input_vectors(game.n):
-            w = input_weight(game.distribution, x)
-            if w == 0.0:
-                continue
+        for x, w in weighted_inputs(game.distribution, game.n):
             bit: dict[tuple[int, str], int] = {}
             full: list[tuple[tuple[int, int], int]] = []  # (slot pair, mask of both halves)
             for v, a, b in model.pairs:
@@ -520,8 +501,7 @@ def optimize_quantum(game: GraphicGame, options: OptimizeOptions | None = None) 
     k = len(ev.slots)
 
     def run(restart: int) -> tuple[float, int, list[float], bool]:
-        rng = np.random.default_rng(np.random.SeedSequence((opts.seed & (2**63 - 1), restart)))
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=k).tolist()
+        theta = _substream(opts.seed, restart).uniform(0.0, 2.0 * math.pi, size=k).tolist()
         value, converged = _ascend(ev, theta, opts)
         return value, restart, theta, converged
 
@@ -628,29 +608,24 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
     if not model.pairs:
         return target_value_from_tables(tables, game.distribution, game.n)
 
-    n = game.n
-    my_pairs = {i: [v for v, a, b in model.pairs if i in (a, b)] for i in game.players}
     images = {i: sorted(set(tables[i].values())) for i in game.players}
     slots = sorted(
         (i, v, x) for v, a, b in model.pairs for i in (a, b) for x in (0, 1)
     )
     slot_index = {key: idx for idx, key in enumerate(slots)}
-    weighted = [
-        (x, input_weight(game.distribution, x)) for x in input_vectors(n)
-    ]
-    weighted = [(x, w) for x, w in weighted if w != 0.0]
+    weighted = [(x, bits_key(x), w) for x, w in weighted_inputs(game.distribution, game.n)]
     combos = list(_iter_product(*[((1, 1), (1, -1), (-1, 1), (-1, -1)) for _ in model.pairs]))
 
     def outcome_views(combo) -> dict[int, tuple[int, ...]]:
-        per_player = {}
-        for i in game.players:
-            view = []
-            for v in my_pairs[i]:
-                k = next(idx for idx, (pv, _, _) in enumerate(model.pairs) if pv == v)
-                a_side = model.pairs[k][1]
-                view.append(combo[k][0] if i == a_side else combo[k][1])
-            per_player[i] = tuple(view)
-        return per_player
+        # Each player's own outcomes, over the pairs it holds in pair order.
+        return {
+            i: tuple(
+                combo[k][0] if i == a else combo[k][1]
+                for k, (_, a, b) in enumerate(model.pairs)
+                if i in (a, b)
+            )
+            for i in game.players
+        }
 
     views = [outcome_views(c) for c in combos]
 
@@ -665,8 +640,7 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
 
     def value_of(tables_now, theta) -> float:
         total = 0.0
-        for x, w in weighted:
-            key = "".join(str(b) for b in x)
+        for x, key, w in weighted:
             probs = probs_for(x, theta)
             for P, view in zip(probs, views):
                 if all(
@@ -682,10 +656,9 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
             cells = sorted({view[player] for view in views})
             for cell in cells:
                 score = {v: 0.0 for v in images[player]}
-                for x, w in weighted:
+                for x, key, w in weighted:
                     if x[player - 1] != xbit:
                         continue
-                    key = "".join(str(b) for b in x)
                     probs = probs_for(x, theta)
                     for P, view in zip(probs, views):
                         if view[player] != cell:
@@ -703,9 +676,8 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
         return changed
 
     def keyed_tables(xstar) -> dict[int, dict]:
-        flipped = tuple(1 - b for b in xstar)
-        key_s = "".join(str(b) for b in xstar)
-        key_f = "".join(str(b) for b in flipped)
+        key_s = bits_key(xstar)
+        key_f = bits_key([1 - b for b in xstar])
         out: dict[int, dict] = {}
         for i in game.players:
             out[i] = {}
@@ -715,8 +687,7 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
                     out[i][(xbit, view[i])] = answer
         return out
 
-    xstar = max(input_vectors(n), key=lambda x: input_weight(game.distribution, x)
-                + input_weight(game.distribution, tuple(1 - b for b in x)))
+    xstar = _best_complementary_pair(game.distribution, game.n)[0]
 
     def sampled_sinusoid(tabs, theta, idx) -> tuple[float, float, float]:
         # a*cos(t) + b*sin(t) + c through the values at t = 0, pi/2 and pi.
@@ -732,8 +703,7 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
 
     best = 0.0
     for restart in range(opts.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((opts.seed & (2**63 - 1), restart)))
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=len(slots)).tolist()
+        theta = _substream(opts.seed, restart).uniform(0.0, 2.0 * math.pi, size=len(slots)).tolist()
         tabs = keyed_tables(xstar)
         current = value_of(tabs, theta)
         for _ in range(opts.max_sweeps):

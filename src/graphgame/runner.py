@@ -29,10 +29,10 @@ from .model import (
     IIDDistribution,
     JointDistribution,
     OutputAssignment,
+    _substream,
     bits_key,
     evaluate_payoff,
-    input_vectors,
-    input_weight,
+    weighted_inputs,
 )
 from .quantum import PairModel, QuantumStrategy, build_pair_model, pair_outcome_distribution, validate_strategy
 
@@ -124,16 +124,8 @@ def _prepare(game: GraphicGame, config: SessionConfig) -> _Session:
 
     joint = None
     if isinstance(game.distribution, JointDistribution):
-        support = [
-            (x, input_weight(game.distribution, x))
-            for x in input_vectors(game.n)
-        ]
-        joint = tuple((x, w) for x, w in support if w > 0.0)
+        joint = tuple((x, w) for x, w in weighted_inputs(game.distribution, game.n) if w > 0.0)
     return _Session(game=game, config=config, model=model, joint_keys=joint)
-
-
-def _round_rng(seed: int, round_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed & (2**63 - 1), round_index)))
 
 
 def _sample_input(sess: _Session, rng: np.random.Generator) -> tuple[int, ...]:
@@ -208,7 +200,7 @@ def run_session(game: GraphicGame, config: SessionConfig) -> SessionStats:
     wins = 0
     per_input: dict[str, list[int]] = {}
     for r in range(config.rounds):
-        rec = _play(sess, _round_rng(config.seed, r))
+        rec = _play(sess, _substream(config.seed, r))
         wins += rec.verdict
         cell = per_input.setdefault(bits_key(rec.x), [0, 0])
         cell[0] += 1
@@ -229,4 +221,4 @@ def replay_round(game: GraphicGame, config: SessionConfig, round_index: int) -> 
     if not (0 <= round_index < config.rounds):
         raise GraphGameError(f"round index {round_index} outside 0..{config.rounds - 1}")
     sess = _prepare(game, config)
-    return _play(sess, _round_rng(config.seed, round_index))
+    return _play(sess, _substream(config.seed, round_index))

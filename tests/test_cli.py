@@ -171,8 +171,18 @@ class TestValue:
             ["value", "chsh", "--quantum", "--tolerance", "-1e-9"],
             ["value", "chsh", "--quantum", "--tolerance", "inf"],
             ["gyni", "gyni3", "--restarts", "0"],
+            ["simulate", "chsh", "--strategy", "s.json", "--rounds", "0"],
+            ["simulate", "chsh", "--strategy", "s.json", "--rounds", "-3"],
+            ["value", "chsh", "--classical", "--budget", "-5"],
+            ["value", "chsh", "--quantum", "--pair-budget", "-1"],
+            ["classify", "chsh", "--budget", "-1"],
+            ["gyni", "gyni3", "--budget", "-1"],
         ],
-        ids=["restarts-0", "restarts-neg", "tol-nan", "tol-neg", "tol-inf", "gyni-restarts-0"],
+        ids=[
+            "restarts-0", "restarts-neg", "tol-nan", "tol-neg", "tol-inf", "gyni-restarts-0",
+            "rounds-0", "rounds-neg", "budget-neg", "pair-budget-neg", "classify-budget-neg",
+            "gyni-budget-neg",
+        ],
     )
     def test_bad_optimizer_arguments_are_usage_errors(self, argv, capsys):
         command, name, *rest = argv
@@ -183,6 +193,23 @@ class TestValue:
         assert captured.out == ""
         assert "usage:" in captured.err
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["value", "chsh", "--classical", "--budget", "0"], 4),
+        (["value", "chsh", "--quantum", "--pair-budget", "0"], 4),
+        (["classify", "chsh", "--budget", "0"], 0),
+    ],
+    ids=["budget-0", "pair-budget-0", "classify-budget-0"],
+)
+def test_zero_budget_is_legal(argv, code):
+    command, name, *rest = argv
+    got, text = run(command, fixture_path(name), *rest)
+    assert got == code
+    if code == 4:
+        assert report_dict(text)["budget"] == "0"
 
 
 class TestSimulate:

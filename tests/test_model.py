@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from graphgame import (
     shared_region,
     validate_game,
 )
-from graphgame.model import AssignmentDomainError, DistributionError, TargetTableError
+from graphgame.model import AssignmentDomainError, DistributionError, TargetTableError, referee_checks
 from graphgame import games
 
 from _oracles import random_assignment, random_game
@@ -223,6 +224,34 @@ class TestEvaluatePayoff:
             assert all(
                 zi in (1, -1) and zj in (1, -1) for zi, zj in b.region_products.values()
             )
+
+
+class TestRefereeChecks:
+    @staticmethod
+    def assignments(rng, game, x):
+        keys = [(i, v) for i in game.players for v in sorted(game.owned(i, x[i - 1]))]
+        if len(keys) <= 12:
+            return [dict(zip(keys, signs)) for signs in product((1, -1), repeat=len(keys))]
+        return [random_assignment(rng, game, x) for _ in range(64)]
+
+    def test_checks_hold_exactly_when_the_referee_accepts(self):
+        rng = np.random.default_rng(11)
+        fixtures = [build() for build in games.FIXTURES.values()]
+        consistency = [g for g in fixtures if isinstance(g.payoff, ConsistencyPayoff)]
+        seen = {0: 0, 1: 0}
+        for g in consistency + [random_game(rng) for _ in range(100)]:
+            for x in input_vectors(g.n):
+                checks = referee_checks(g, x)
+                for values in self.assignments(rng, g, x):
+                    held = all(
+                        math.prod(values[(i, v)] for i, verts in sides for v in verts)
+                        == (-1) ** parity
+                        for sides, parity in checks
+                    )
+                    verdict = evaluate_payoff(g, x, OutputAssignment(values)).verdict
+                    assert held == (verdict == 1), (g, x, values)
+                    seen[verdict] += 1
+        assert min(seen.values()) > 1000
 
 
 class TestTargetPayoff:
