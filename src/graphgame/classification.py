@@ -87,10 +87,13 @@ def tuple_level_nonempty(game: GraphicGame, i: int, s: int, semantics: str = COM
         raise GraphGameError(f"tuple size must be >= 2, got {s}")
     if semantics not in SEMANTICS:
         raise GraphGameError(f"unknown semantics {semantics!r}")
-    neighbors = sorted(players_sharing_with(game, i))
+    return _level_nonempty(game, i, sorted(players_sharing_with(game, i)), s, semantics)
+
+
+def _level_nonempty(game: GraphicGame, i: int, neighbors: list[int], s: int, semantics: str) -> bool:
     for combo in combinations(neighbors, s - 1):
+        members = (i,) + combo
         if semantics == COMMON_INTERSECTION:
-            members = (i,) + combo
             if all(
                 frozenset.intersection(
                     *[game.owned(p, xp) for p, xp in zip(members, bits)]
@@ -98,46 +101,36 @@ def tuple_level_nonempty(game: GraphicGame, i: int, s: int, semantics: str = COM
                 for bits in _iter_product((0, 1), repeat=s)
             ):
                 return True
-        else:
-            members = (i,) + combo
-            if all(
-                _shares_always(game, a, b) for a, b in combinations(members, 2)
-            ):
-                return True
+        elif all(_shares_always(game, a, b) for a, b in combinations(members, 2)):
+            return True
     return False
 
 
 def sharing_index(game: GraphicGame, i: int, semantics: str = COMMON_INTERSECTION) -> Optional[int]:
-    """Largest s with a jointly-sharing s-tuple around player i; None if isolated."""
-    neighbors = players_sharing_with(game, i)
+    """Largest s with a jointly-sharing s-tuple around player i; None if isolated.
+
+    Levels are downward closed under both semantics (drop one member of a
+    jointly-sharing tuple and the rest still share jointly), so the scan
+    stops at the first empty level.
+    """
+    if semantics not in SEMANTICS:
+        raise GraphGameError(f"unknown semantics {semantics!r}")
+    neighbors = sorted(players_sharing_with(game, i))
     if not neighbors:
         return None
-    best = 2  # the neighbor set itself witnesses s = 2
-    for s in range(3, len(neighbors) + 2):
-        if tuple_level_nonempty(game, i, s, semantics):
-            best = s
-    return best
+    s = 2  # the neighbor set itself witnesses s = 2
+    while s <= len(neighbors) and _level_nonempty(game, i, neighbors, s + 1, semantics):
+        s += 1
+    return s
 
 
 def sharing_structure(game: GraphicGame, semantics: str = COMMON_INTERSECTION) -> SharingStructure:
-    neighbor_sets = {}
-    tuple_levels = {}
-    indices = {}
-    top = game.n - game.m + 1
-    for i in range(1, game.m + 1):
-        neighbor_sets[i] = players_sharing_with(game, i)
-        levels = {}
-        for s in range(2, top + 1):
-            if s == 2:
-                levels[s] = bool(neighbor_sets[i])
-            else:
-                levels[s] = tuple_level_nonempty(game, i, s, semantics)
-        tuple_levels[i] = levels
-        defined = [s for s, ok in levels.items() if ok]
-        indices[i] = max(defined) if defined else None
+    low = range(1, game.m + 1)
+    indices = {i: sharing_index(game, i, semantics) for i in low}
+    levels = range(2, game.n - game.m + 2)
     return SharingStructure(
-        neighbor_sets=neighbor_sets,
-        tuple_levels=tuple_levels,
+        neighbor_sets={i: players_sharing_with(game, i) for i in low},
+        tuple_levels={i: {s: index is not None and s <= index for s in levels} for i, index in indices.items()},
         indices=indices,
         semantics_used=semantics,
     )

@@ -182,6 +182,8 @@ def cmd_simulate(args) -> int:
     game, code = _load_valid_spec(args.spec, pairs)
     if game is None:
         return _emit(pairs, code)
+    if not isinstance(game.payoff, ConsistencyPayoff):
+        return _fail(pairs, 6, "simulate requires a consistency-mode game")
     try:
         strategy = io.parse_strategy_file(args.strategy)
     except FileNotFoundError:

@@ -22,9 +22,10 @@ vertices is exactly the CHSH predicate.
 
 Every condition says that a product of signs has a fixed parity, so each is
 a GF(2) constraint.  ``referee_checks`` states them once as ``(sides,
-parity)`` checks, and both exact solvers (the classical search and the
-quantum correlator polynomial) are built from those checks alone.
-``evaluate_payoff`` scores a round on its own, as the independent reference.
+parity)`` checks; both exact solvers (the classical search and the quantum
+correlator polynomial) are built from those checks alone, and the simulator
+scores its rounds with them.  ``evaluate_payoff`` scores a round on its own,
+as the independent reference that ``strategy_value`` and the tests use.
 
 Conventions used across the package: players are 1-based, inputs are bits,
 an input vector is a tuple of n bits, vertex identifiers are strings
@@ -35,6 +36,7 @@ operation is a pure function, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as _iter_product
 from typing import Iterable, Mapping, Sequence, Union
@@ -308,7 +310,9 @@ def validate_game(game: GraphicGame) -> list[Violation]:
                 out.append(
                     Violation("bad-distribution", f"joint key {key!r} is not an {game.n}-bit string")
                 )
-            if prob < -1e-15:
+            if not math.isfinite(prob):
+                out.append(Violation("bad-distribution", f"joint probability {key!r} is {prob!r}"))
+            elif prob < -1e-15:
                 out.append(Violation("bad-distribution", f"joint probability {key!r} is negative"))
             total += prob
         if abs(total - 1.0) > 1e-12:

@@ -2,13 +2,16 @@
 
 Each round draws its own random substream from (seed, round index), so a
 session can be replayed round by round, split across workers in any batch
-arrangement, or re-run bit-identically.  Per round the referee samples the
-input vector, nature samples the entangled-pair outcomes (pairs in vertex
-order, one inverse-CDF draw each from the 4-entry outcome table), every
-player answers in isolation, and the payoff predicate scores the result.
+arrangement, or re-run bit-identically.  Every strategy plays through one
+path: a deterministic strategy is an EPR strategy that measures nothing,
+so it becomes answer slices with no pairs to draw.  Per round the referee
+samples the input vector, nature samples the entangled-pair outcomes (pairs
+in vertex order, one inverse-CDF draw each from the 4-entry outcome table),
+every player answers in isolation, and the referee's parity checks
+(``model.referee_checks``) score the round.
 
-Player isolation is structural: answers are produced by module-level
-functions that receive only the player's own strategy slice, own input bit
+Player isolation is structural: answers are produced by a module-level
+function that receives only the player's own strategy slice, own input bit
 and own measured outcomes.  There is no code path through which one
 player's answer can see another player's input.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -27,14 +30,13 @@ from .model import (
     GraphGameError,
     GraphicGame,
     IIDDistribution,
-    JointDistribution,
     OutputAssignment,
     _substream,
     bits_key,
-    evaluate_payoff,
+    referee_checks,
     weighted_inputs,
 )
-from .quantum import PairModel, QuantumStrategy, build_pair_model, pair_outcome_distribution, validate_strategy
+from .quantum import QuantumStrategy, build_pair_model, pair_outcome_distribution, validate_strategy
 
 Strategy = Union[DeterministicStrategy, QuantumStrategy]
 
@@ -67,19 +69,13 @@ class RoundRecord:
     verdict: int
 
 
-def answer_deterministic(signs: Mapping[str, int], own_input: int) -> dict[str, int]:
-    """One player's answers from its own lookup table.  ``signs`` is already
-    the slice for ``own_input``."""
-    del own_input  # the slice is pre-selected; kept for interface symmetry
-    return dict(signs)
-
-
 def answer_quantum(
     wiring: Mapping[str, tuple[int, tuple[str, ...]]],
     own_input: int,
     own_outcomes: Mapping[str, int],
 ) -> dict[str, int]:
-    """One player's answers from its wiring and its own measured outcomes."""
+    """One player's answers from its slice ``{vertex: (sign, refs)}`` and its own
+    measured outcomes.  A deterministic strategy's slices carry no refs."""
     del own_input
     out = {}
     for vertex, (sign, refs) in wiring.items():
@@ -93,9 +89,11 @@ def answer_quantum(
 @dataclass(frozen=True)
 class _Session:
     game: GraphicGame
-    config: SessionConfig
-    model: PairModel | None  # None for deterministic play
-    joint_keys: tuple[tuple[tuple[int, ...], float], ...] | None  # inverse CDF support
+    slices: Mapping[tuple[int, int], Mapping[str, tuple[int, tuple[str, ...]]]]
+    angles: Mapping[tuple[int, str, int], float]
+    pairs: tuple[tuple[str, int, int], ...]  # empty for a deterministic strategy
+    joint_inputs: tuple[tuple[int, ...], ...]  # inverse-CDF support of a joint prior
+    joint_probs: tuple[float, ...]
 
 
 def _prepare(game: GraphicGame, config: SessionConfig) -> _Session:
@@ -112,85 +110,74 @@ def _prepare(game: GraphicGame, config: SessionConfig) -> _Session:
             raise StrategyMismatchError("deterministic signs do not cover the owned vertices")
         if any(s not in (1, -1) for s in strategy.signs.values()):
             raise StrategyMismatchError("deterministic signs must be +1/-1")
-        model = None
+        answers = ((key, (s, ())) for key, s in strategy.signs.items())
+        angles, pairs = {}, ()
     elif isinstance(strategy, QuantumStrategy):
         model = build_pair_model(game, allow_multiway=True)
         try:
             validate_strategy(game, strategy, model)
         except GraphGameError as exc:
             raise StrategyMismatchError(str(exc)) from exc
+        answers = ((key, (e.sign, e.refs)) for key, e in strategy.wiring.items())
+        angles, pairs = strategy.angles, model.pairs
     else:
         raise StrategyMismatchError(f"unsupported strategy type {type(strategy).__name__}")
 
-    joint = None
-    if isinstance(game.distribution, JointDistribution):
+    slices: dict[tuple[int, int], dict] = {(i, b): {} for i in game.players for b in (0, 1)}
+    for (i, b, v), answer in answers:
+        slices[(i, b)][v] = answer
+    joint = ()
+    if not isinstance(game.distribution, IIDDistribution):
         joint = tuple((x, w) for x, w in weighted_inputs(game.distribution, game.n) if w > 0.0)
-    return _Session(game=game, config=config, model=model, joint_keys=joint)
+    return _Session(game, slices, angles, pairs, tuple(x for x, _ in joint), tuple(w for _, w in joint))
 
 
-def _sample_input(sess: _Session, rng: np.random.Generator) -> tuple[int, ...]:
-    game = sess.game
-    if isinstance(game.distribution, IIDDistribution):
-        p = game.distribution.p
-        return tuple(0 if rng.random() < p else 1 for _ in range(game.n))
-    u = rng.random()
+def _draw(u: float, probs: Sequence[float]) -> int:
+    """Inverse-CDF index of ``u``; the last one if rounding leaves ``u`` above the sum."""
     acc = 0.0
-    assert sess.joint_keys is not None
-    for x, w in sess.joint_keys:
-        acc += w
+    for idx, prob in enumerate(probs):
+        acc += prob
         if u < acc:
-            return x
-    return sess.joint_keys[-1][0]
+            return idx
+    return len(probs) - 1
 
 
 def _play(sess: _Session, rng: np.random.Generator) -> RoundRecord:
     game = sess.game
-    strategy = sess.config.strategy
-    x = _sample_input(sess, rng)
+    if isinstance(game.distribution, IIDDistribution):
+        p = game.distribution.p
+        x = tuple(0 if rng.random() < p else 1 for _ in range(game.n))
+    else:
+        x = sess.joint_inputs[_draw(rng.random(), sess.joint_probs)]
 
-    outcomes: list[tuple[str, int, int]] = []
-    per_player_outcomes: dict[int, dict[str, int]] = {i: {} for i in game.players}
-    if isinstance(strategy, QuantumStrategy):
-        assert sess.model is not None
-        for v, a, b in sess.model.pairs:
-            ta = strategy.angles.get((a, v, x[a - 1]))
-            tb = strategy.angles.get((b, v, x[b - 1]))
-            table = pair_outcome_distribution(ta, tb)
-            u = rng.random()
-            acc = 0.0
-            drawn = 3
-            for idx, prob in enumerate(table):
-                acc += prob
-                if u < acc:
-                    drawn = idx
-                    break
-            sa = 1 if drawn in (0, 1) else -1
-            sb = 1 if drawn in (0, 2) else -1
-            outcomes.append((v, sa, sb))
-            if ta is not None:
-                per_player_outcomes[a][v] = sa
-            if tb is not None:
-                per_player_outcomes[b][v] = sb
+    outcomes = []
+    own_outcomes: dict[int, dict[str, int]] = {i: {} for i in game.players}
+    for v, a, b in sess.pairs:
+        ta = sess.angles.get((a, v, x[a - 1]))
+        tb = sess.angles.get((b, v, x[b - 1]))
+        drawn = _draw(rng.random(), pair_outcome_distribution(ta, tb))
+        sa = 1 if drawn in (0, 1) else -1
+        sb = 1 if drawn in (0, 2) else -1
+        outcomes.append((v, sa, sb))
+        if ta is not None:
+            own_outcomes[a][v] = sa
+        if tb is not None:
+            own_outcomes[b][v] = sb
 
     values: dict[tuple[int, str], int] = {}
     for i in game.players:
-        own_input = x[i - 1]
-        if isinstance(strategy, DeterministicStrategy):
-            slice_ = {
-                v: strategy.signs[(i, own_input, v)] for v in game.owned(i, own_input)
-            }
-            answers = answer_deterministic(slice_, own_input)
-        else:
-            wiring_slice = {
-                v: (expr.sign, expr.refs)
-                for (p, xx, v), expr in strategy.wiring.items()
-                if p == i and xx == own_input
-            }
-            answers = answer_quantum(wiring_slice, own_input, per_player_outcomes[i])
-        for v, s in answers.items():
+        for v, s in answer_quantum(sess.slices[(i, x[i - 1])], x[i - 1], own_outcomes[i]).items():
             values[(i, v)] = s
 
-    verdict = evaluate_payoff(game, x, OutputAssignment(values)).verdict
+    verdict = 1
+    for sides, parity in referee_checks(game, x):
+        s = 1
+        for i, verts in sides:
+            for v in verts:
+                s *= values[(i, v)]
+        if s != (-1) ** parity:
+            verdict = 0
+            break
     return RoundRecord(x=x, outcomes=tuple(outcomes), assignment=OutputAssignment(values), verdict=verdict)
 
 

@@ -57,13 +57,14 @@ class TestTupleLevels:
             g = random_game(rng)
             top = g.n - g.m + 1
             for i in range(1, g.m + 1):
-                levels = [
-                    tuple_level_nonempty(g, i, s, COMMON_INTERSECTION)
-                    for s in range(2, top + 1)
-                ]
-                for lower, upper in zip(levels, levels[1:]):
-                    if upper:
-                        assert lower
+                for semantics in (COMMON_INTERSECTION, PAIRWISE_CLIQUE):
+                    levels = [
+                        tuple_level_nonempty(g, i, s, semantics)
+                        for s in range(2, top + 1)
+                    ]
+                    for lower, upper in zip(levels, levels[1:]):
+                        if upper:
+                            assert lower, semantics
 
 
 class TestSharingIndex:

@@ -67,6 +67,16 @@ class TestValidate:
         _, validate_text = run("validate", str(spec))
         assert text.splitlines()[1:] == validate_text.splitlines()[1:]
 
+    def test_nan_joint_prior_is_invalid(self, tmp_path):
+        doc = json.loads(resources.files("graphgame").joinpath("fixtures/chsh.game").read_text())
+        doc["distribution"] = {"kind": "joint", "table": {"00": 0.5, "01": 0.5, "10": 0.0, "11": "NaN"}}
+        spec = tmp_path / "nan_prior.game"
+        spec.write_text(json.dumps(doc).replace('"NaN"', "NaN"))
+        code, text = run("value", str(spec))
+        assert code == 2
+        assert report_dict(text)["status"] == "invalid"
+        assert "bad-distribution" in text
+
     def test_parse_failure_exits_3(self, tmp_path):
         bad = tmp_path / "broken.game"
         bad.write_text("{ not json")
@@ -243,6 +253,12 @@ class TestSimulate:
         strategy_file.write_text(ggio.serialize_strategy(witness))
         code, _ = run("simulate", fixture_path("chsh"), "--strategy", str(strategy_file))
         assert code == 5
+
+    def test_target_game_exits_6(self):
+        code, text = run("simulate", fixture_path("gyni3"), "--strategy", "/no/such/file")
+        assert code == 6
+        assert ggio.validate_report(text) == []
+        assert report_dict(text)["status"] == "error"
 
 
 class TestGyni:

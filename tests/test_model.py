@@ -76,6 +76,20 @@ class TestValidate:
         codes = {v.code for v in validate_game(g)}
         assert "bad-distribution" in codes
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_joint_probability(self, bad):
+        table = {"00": 0.5, "01": 0.5, "10": 0.0, "11": bad}
+        g = GraphicGame(
+            graph=Graph(["v1"]),
+            n=2,
+            m=1,
+            assignments=AssignmentMap({(1, 0): ["v1"], (2, 0): ["v1"]}),
+            distribution=JointDistribution(table),
+            payoff=ConsistencyPayoff(),
+        )
+        assert [v.code for v in validate_game(g)][:1] == ["bad-distribution"]
+        assert any("'11'" in v.message for v in validate_game(g))
+
 
 class TestSharedRegion:
     def test_chsh_regions_follow_input(self):

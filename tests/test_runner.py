@@ -1,19 +1,31 @@
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 from graphgame import (
+    ConsistencyPayoff,
+    DeterministicStrategy,
     GraphGameError,
+    GraphicGame,
+    JointDistribution,
     SessionConfig,
+    build_pair_model,
     build_strategy,
     classical_value,
+    evaluate_payoff,
     exact_quantum_value,
+    optimize_quantum,
+    OptimizeOptions,
     replay_round,
     run_session,
+    strategy_value,
 )
-from graphgame.runner import StrategyMismatchError, answer_deterministic, answer_quantum
+from graphgame.runner import StrategyMismatchError, answer_quantum
 from graphgame import games
+
+from _oracles import random_game, random_quantum_strategy
 
 
 def chsh_quantum_strategy():
@@ -94,6 +106,65 @@ class TestSessions:
             )
 
 
+class TestReferenceAgreement:
+    """The simulator scores rounds with the referee's parity checks; every
+    replayed verdict must match the reference referee on the same answers."""
+
+    def test_replayed_rounds_match_reference_referee(self):
+        rng = np.random.default_rng(31)
+        fixtures = [build() for build in games.FIXTURES.values()]
+        cases = [g for g in fixtures if isinstance(g.payoff, ConsistencyPayoff)]
+        cases += [random_game(rng) for _ in range(30)]
+        plays = [(g, s) for g in cases for s in (classical_value(g)[1], random_quantum_strategy(rng, g))]
+        for k, (g, strategy) in enumerate(plays):
+            owners = {v: (a, b) for v, a, b in build_pair_model(g, allow_multiway=True).pairs}
+            cfg = SessionConfig(rounds=50, seed=100 + k, strategy=strategy)
+            for r in range(cfg.rounds):
+                rec = replay_round(g, cfg, r)
+                owned = {(i, v) for i in g.players for v in g.owned(i, rec.x[i - 1])}
+                assert set(rec.assignment.values) == owned
+                assert rec.verdict == evaluate_payoff(g, rec.x, rec.assignment).verdict
+                if isinstance(strategy, DeterministicStrategy):
+                    assert rec.outcomes == ()
+                    want = {(i, v): strategy.signs[(i, rec.x[i - 1], v)] for i, v in owned}
+                else:
+                    half = {}
+                    for v, sa, sb in rec.outcomes:
+                        half[(owners[v][0], v)], half[(owners[v][1], v)] = sa, sb
+                    want = {}
+                    for i, v in owned:
+                        expr = strategy.wiring[(i, rec.x[i - 1], v)]
+                        want[(i, v)] = expr.sign * math.prod(half[(i, ref)] for ref in expr.refs)
+                assert rec.assignment.values == want
+
+
+class TestJointPrior:
+    def test_session_follows_the_joint_table(self):
+        star3 = games.star_game(3)
+        table = {"000": 0.2, "001": 0.1, "010": 0.15, "011": 0.1, "100": 0.1, "101": 0.15, "110": 0.2, "111": 0.0}
+        g = GraphicGame(
+            graph=star3.graph,
+            n=star3.n,
+            m=star3.m,
+            assignments=star3.assignments,
+            distribution=JointDistribution(table),
+            payoff=star3.payoff,
+        )
+        quantum = optimize_quantum(g, OptimizeOptions(restarts=1, seed=3)).strategy
+        witness = classical_value(g)[1]
+        rounds = 4000
+        for strategy, exact in (
+            (quantum, exact_quantum_value(g, quantum)),
+            (witness, strategy_value(g, witness)),
+        ):
+            stats = run_session(g, SessionConfig(rounds=rounds, seed=17, strategy=strategy))
+            assert abs(stats.estimate - exact) <= 5 * math.sqrt(exact * (1 - exact) / rounds)
+            assert "111" not in stats.per_input_counts
+            for key, (plays, _) in stats.per_input_counts.items():
+                p = table[key]
+                assert abs(plays - rounds * p) <= 5 * math.sqrt(rounds * p * (1 - p)), key
+
+
 class TestReplay:
     def test_replay_is_deterministic(self):
         g = games.chsh_game()
@@ -123,8 +194,6 @@ class TestReplay:
 
 class TestIsolation:
     def test_answer_functions_receive_only_local_data(self):
-        det_params = set(inspect.signature(answer_deterministic).parameters)
-        assert det_params == {"signs", "own_input"}
         q_params = set(inspect.signature(answer_quantum).parameters)
         assert q_params == {"wiring", "own_input", "own_outcomes"}
 
