@@ -191,16 +191,19 @@ def cmd_simulate(args) -> int:
     except io.StrategyFileError as exc:
         return _fail(pairs, 5, f"bad strategy file: {exc}")
     config = SessionConfig(rounds=args.rounds, seed=args.seed, strategy=strategy)
+    t0 = time.perf_counter()
     try:
         stats = run_session(game, config)
     except (StrategyMismatchError, GraphGameError) as exc:
         return _fail(pairs, 5, str(exc))
+    elapsed_ms = (time.perf_counter() - t0) * 1e3
     pairs.append(("rounds", str(stats.rounds)))
     pairs.append(("wins", str(stats.wins)))
     pairs.append(("estimate", io.fmt_float(stats.estimate)))
     pairs.append(("stderr", io.fmt_float(stats.stderr)))
     for key, (plays, wins) in stats.per_input_counts.items():
         pairs.append((f"per_input.{key}", f"{plays} {wins}"))
+    pairs.append(("timing.simulate_ms", io.fmt_float(elapsed_ms)))
     return _emit(pairs)
 
 

@@ -80,6 +80,16 @@ def _require_keys(obj: Mapping, required: set[str], optional: set[str], where: s
         raise error_cls(f"{where}: missing keys {sorted(missing)}")
 
 
+def _number(value: object, what: str, error_cls) -> float:
+    """A JSON number as a float; ``error_cls`` for anything else, or one too large for a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise error_cls(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error_cls(f"{what} is too large for a float") from None
+
+
 def parse_game(text: str) -> GraphicGame:
     data = _load_json(text, GameSpecError)
     _require_keys(
@@ -119,18 +129,15 @@ def parse_game(text: str) -> GraphicGame:
     _require_keys(dist_obj, {"kind"}, {"p", "table"}, "distribution", GameSpecError)
     if dist_obj["kind"] == "iid":
         _require_keys(dist_obj, {"kind", "p"}, set(), "iid distribution", GameSpecError)
-        if not isinstance(dist_obj["p"], (int, float)) or isinstance(dist_obj["p"], bool):
-            raise GameSpecError("iid p must be a number")
-        distribution = IIDDistribution(float(dist_obj["p"]))
+        distribution = IIDDistribution(_number(dist_obj["p"], "iid p", GameSpecError))
     elif dist_obj["kind"] == "joint":
         _require_keys(dist_obj, {"kind", "table"}, set(), "joint distribution", GameSpecError)
         table = dist_obj["table"]
         if not isinstance(table, dict):
             raise GameSpecError("joint table must be an object")
-        for key, prob in table.items():
-            if not isinstance(prob, (int, float)) or isinstance(prob, bool):
-                raise GameSpecError(f"joint probability for {key!r} must be a number")
-        distribution = JointDistribution({k: float(v) for k, v in table.items()})
+        distribution = JointDistribution(
+            {k: _number(v, f"joint probability for {k!r}", GameSpecError) for k, v in table.items()}
+        )
     else:
         raise GameSpecError(f"unknown distribution kind {dist_obj['kind']!r}")
 
@@ -270,7 +277,8 @@ def parse_strategy(text: str):
             _require_keys(
                 entry, {"player", "vertex", "input", "angle"}, set(), "angle entry", StrategyFileError
             )
-            angles[(entry["player"], entry["vertex"], entry["input"])] = float(entry["angle"])
+            key = (entry["player"], entry["vertex"], entry["input"])
+            angles[key] = _number(entry["angle"], f"angle of {key}", StrategyFileError)
         wiring = {}
         for entry in data["wiring"]:
             _require_keys(

@@ -235,7 +235,10 @@ def bits_key(x: Sequence[int]) -> str:
 
 
 def _substream(seed: int, k: int) -> np.random.Generator:
-    """Random substream ``k`` of ``seed``: restart k, or round k of a session."""
+    """Random substream ``k`` of ``seed``: the optimizer's restart k.
+
+    Sessions draw from a counter-based stream instead (see ``runner``).
+    """
     return np.random.default_rng(np.random.SeedSequence((seed & (2**63 - 1), k)))
 
 

@@ -168,32 +168,37 @@ class OptimizeOptions:
 
 def validate_strategy(game: GraphicGame, strategy: QuantumStrategy, model: PairModel) -> None:
     pair_owner = {v: (a, b) for v, a, b in model.pairs}
-    for (i, v, x) in strategy.angles:
+    measured: dict[tuple[int, int], set[str]] = {(i, x): set() for i in game.players for x in (0, 1)}
+    present: dict[tuple[int, int], set[str]] = {key: set() for key in measured}
+    for (i, v, x), theta in strategy.angles.items():
         if v not in pair_owner:
             raise StrategyError(f"angle on {v!r}: vertex carries no pair")
         if i not in pair_owner[v]:
             raise StrategyError(f"angle on {v!r}: player {i} holds no half of it")
         if x not in (0, 1):
             raise StrategyError(f"angle input must be a bit, got {x!r}")
-    for i in game.players:
-        for x in (0, 1):
-            measured = {v for (p, v, xx) in strategy.angles if p == i and xx == x}
-            owned = game.owned(i, x)
-            keys = {(i, x, v) for v in owned}
-            present = {k for k in strategy.wiring if k[0] == i and k[1] == x}
-            if keys != present:
-                raise StrategyError(
-                    f"player {i} at input {x}: wiring must cover exactly the owned vertices"
-                )
-            for v in owned:
-                expr = strategy.wiring[(i, x, v)]
-                if expr.sign not in (1, -1):
-                    raise StrategyError(f"wiring sign must be +1/-1 on {v!r}")
-                for r in expr.refs:
-                    if r not in measured:
-                        raise StrategyError(
-                            f"player {i} at input {x} wires {v!r} to unmeasured {r!r}"
-                        )
+        if not math.isfinite(theta):
+            raise StrategyError(f"angle of player {i} on {v!r} at input {x} is {theta!r}, not finite")
+        measured[(i, x)].add(v)
+    for i, x, v in strategy.wiring:
+        if (i, x) not in present:
+            raise StrategyError(f"wiring for player {i!r} at input {x!r}: no such player or input")
+        present[(i, x)].add(v)
+    for (i, x), wired in present.items():
+        owned = game.owned(i, x)
+        if wired != owned:
+            raise StrategyError(
+                f"player {i} at input {x}: wiring must cover exactly the owned vertices"
+            )
+        for v in owned:
+            expr = strategy.wiring[(i, x, v)]
+            if expr.sign not in (1, -1):
+                raise StrategyError(f"wiring sign must be +1/-1 on {v!r}")
+            for r in expr.refs:
+                if r not in measured[(i, x)]:
+                    raise StrategyError(
+                        f"player {i} at input {x} wires {v!r} to unmeasured {r!r}"
+                    )
 
 
 def build_strategy(

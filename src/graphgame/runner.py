@@ -1,25 +1,43 @@
-"""Referee-players round simulator with reproducible randomness.
+"""Referee-players round simulator on a counter-based random stream.
 
-Each round draws its own random substream from (seed, round index), so a
-session can be replayed round by round, split across workers in any batch
-arrangement, or re-run bit-identically.  Every strategy plays through one
-path: a deterministic strategy is an EPR strategy that measures nothing,
-so it becomes answer slices with no pairs to draw.  Per round the referee
-samples the input vector, nature samples the entangled-pair outcomes (pairs
-in vertex order, one inverse-CDF draw each from the 4-entry outcome table),
-every player answers in isolation, and the referee's parity checks
-(``model.referee_checks``) score the round.
+Every round owns a fixed block of a Philox stream keyed by the seed (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  A round
+takes ``K`` uniform draws, in this order: one per player for an iid prior
+(one in all for a joint prior), then one per entangled pair in vertex
+order.  Round ``r`` reads them from counter ``r * B``, where the
+``B = ceil(K / 4)`` counter blocks hold four doubles each.  So any round can
+be regenerated on its own, a session's result does not depend on how its
+rounds are batched, a rerun is bit-identical, and a session of N rounds is
+a prefix of one of 2N rounds.
 
-Player isolation is structural: answers are produced by a module-level
-function that receives only the player's own strategy slice, own input bit
-and own measured outcomes.  There is no code path through which one
-player's answer can see another player's input.
+Every strategy plays through one path: a deterministic strategy is an EPR
+strategy that measures nothing, so it becomes answer slices with no pairs
+to draw.  ``run_session`` plays rounds in chunks of at most ``_CHUNK`` as
+array operations:
+
+* inputs by inverse CDF;
+* each pair's outcome index as the number of cumulative thresholds of its
+  4-entry outcome table that lie at or below its draw;
+* the outcome bits packed into uint64 words;
+* the verdict as parities of those words, one per referee check
+  (``model.referee_checks``), compiled with the players' answer slices
+  into ``(mask, parity)`` rows for each input that occurs.
+
+``replay_round`` plays one round through the readable scalar path and
+returns its full record.  Both paths read the same draws and compare them
+with the same float sums, so they agree round for round.
+
+Player isolation is structural: a replayed round's answers come from a
+module-level function that receives only the player's own strategy slice,
+own input bit and own measured outcomes, and a compiled row reads each
+player's answers from that player's own slice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, product
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -31,7 +49,6 @@ from .model import (
     GraphicGame,
     IIDDistribution,
     OutputAssignment,
-    _substream,
     bits_key,
     referee_checks,
     weighted_inputs,
@@ -39,6 +56,9 @@ from .model import (
 from .quantum import QuantumStrategy, build_pair_model, pair_outcome_distribution, validate_strategy
 
 Strategy = Union[DeterministicStrategy, QuantumStrategy]
+
+_CHUNK = 4096  # rounds per array pass of run_session
+_WORD = 2**64 - 1
 
 
 class StrategyMismatchError(GraphGameError):
@@ -94,6 +114,7 @@ class _Session:
     pairs: tuple[tuple[str, int, int], ...]  # empty for a deterministic strategy
     joint_inputs: tuple[tuple[int, ...], ...]  # inverse-CDF support of a joint prior
     joint_probs: tuple[float, ...]
+    width: int  # doubles a round owns: four per counter block, ceil(K / 4) blocks
 
 
 def _prepare(game: GraphicGame, config: SessionConfig) -> _Session:
@@ -126,10 +147,14 @@ def _prepare(game: GraphicGame, config: SessionConfig) -> _Session:
     slices: dict[tuple[int, int], dict] = {(i, b): {} for i in game.players for b in (0, 1)}
     for (i, b, v), answer in answers:
         slices[(i, b)][v] = answer
-    joint = ()
+    joint, input_draws = (), game.n
     if not isinstance(game.distribution, IIDDistribution):
         joint = tuple((x, w) for x, w in weighted_inputs(game.distribution, game.n) if w > 0.0)
-    return _Session(game, slices, angles, pairs, tuple(x for x, _ in joint), tuple(w for _, w in joint))
+        input_draws = 1
+    width = 4 * -(-(input_draws + len(pairs)) // 4)
+    return _Session(
+        game, slices, angles, pairs, tuple(x for x, _ in joint), tuple(w for _, w in joint), width
+    )
 
 
 def _draw(u: float, probs: Sequence[float]) -> int:
@@ -142,20 +167,29 @@ def _draw(u: float, probs: Sequence[float]) -> int:
     return len(probs) - 1
 
 
-def _play(sess: _Session, rng: np.random.Generator) -> RoundRecord:
+def _stream(sess: _Session, seed: int, first_round: int) -> np.random.Generator:
+    """The draws from round ``first_round`` on, ``sess.width`` doubles per round."""
+    counter = first_round * (sess.width // 4)
+    return np.random.Generator(np.random.Philox(key=seed & (2**63 - 1), counter=[counter, 0, 0, 0]))
+
+
+def _play(sess: _Session, u: Sequence[float]) -> RoundRecord:
+    """One round from its draws ``u``: the input draws first, then one per pair."""
     game = sess.game
     if isinstance(game.distribution, IIDDistribution):
         p = game.distribution.p
-        x = tuple(0 if rng.random() < p else 1 for _ in range(game.n))
+        x = tuple(0 if ui < p else 1 for ui in u[: game.n])
+        pair_draws = u[game.n :]
     else:
-        x = sess.joint_inputs[_draw(rng.random(), sess.joint_probs)]
+        x = sess.joint_inputs[_draw(u[0], sess.joint_probs)]
+        pair_draws = u[1:]
 
     outcomes = []
     own_outcomes: dict[int, dict[str, int]] = {i: {} for i in game.players}
-    for v, a, b in sess.pairs:
+    for (v, a, b), ui in zip(sess.pairs, pair_draws):
         ta = sess.angles.get((a, v, x[a - 1]))
         tb = sess.angles.get((b, v, x[b - 1]))
-        drawn = _draw(rng.random(), pair_outcome_distribution(ta, tb))
+        drawn = _draw(ui, pair_outcome_distribution(ta, tb))
         sa = 1 if drawn in (0, 1) else -1
         sb = 1 if drawn in (0, 2) else -1
         outcomes.append((v, sa, sb))
@@ -181,25 +215,126 @@ def _play(sess: _Session, rng: np.random.Generator) -> RoundRecord:
     return RoundRecord(x=x, outcomes=tuple(outcomes), assignment=OutputAssignment(values), verdict=verdict)
 
 
+def _pack(fields: np.ndarray, width: int) -> np.ndarray:
+    """Each row's ``width``-bit fields as uint64 words, field k at bit ``width * k`` of the row."""
+    rows, count = fields.shape
+    if count == 0:
+        return np.zeros((rows, 1), np.uint64)
+    per = 64 // width
+    shifts = (np.arange(count) % per * width).astype(np.uint64)
+    return np.bitwise_or.reduceat(fields.astype(np.uint64) << shifts, np.arange(0, count, per), axis=1)
+
+
+def _pair_thresholds(sess: _Session) -> np.ndarray:
+    """Per pair and ``2 * x_a + x_b``: the cumulative sums ``_draw`` compares a draw with."""
+    sums = []
+    for v, a, b in sess.pairs:
+        for xa, xb in product((0, 1), repeat=2):
+            probs = pair_outcome_distribution(sess.angles.get((a, v, xa)), sess.angles.get((b, v, xb)))
+            sums.append(list(accumulate(probs))[:3])
+    return np.array(sums).reshape(len(sess.pairs), 4, 3)
+
+
+def _inputs(sess: _Session, u: np.ndarray) -> np.ndarray:
+    """Each row's input bits, drawn from the row's first draws as ``_play`` does."""
+    game = sess.game
+    if isinstance(game.distribution, IIDDistribution):
+        return (u[:, : game.n] >= game.distribution.p).astype(np.uint8)
+    cdf = np.array(list(accumulate(sess.joint_probs)))
+    index = np.minimum(np.searchsorted(cdf, u[:, 0], side="right"), len(cdf) - 1)
+    return np.array(sess.joint_inputs, dtype=np.uint8)[index]
+
+
+def _distinct(xs: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The input vectors among the rows of ``xs``, and each row's index into them."""
+    words = _pack(xs, 1)
+    if words.shape[1] == 1:  # up to 64 players: one word a row, and a far faster np.unique
+        _, first, inverse = np.unique(words[:, 0], return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(words, axis=0, return_index=True, return_inverse=True)
+    return [tuple(x) for x in xs[first].tolist()], inverse.reshape(-1)
+
+
+def _compile(sess: _Session, x: tuple[int, ...], bit: Mapping[tuple[int, str], int], words: int):
+    """The referee's checks at ``x`` as outcome-bit masks (``words`` uint64 each) and parities.
+
+    A check holds when the outcome bits under its mask have the parity: each
+    answer is its sign times its refs' outcomes, so the sign's minus moves
+    into the parity and each ref toggles its outcome bit ``bit[(player, ref)]``.
+    """
+    masks, parities = [], []
+    for sides, parity in referee_checks(sess.game, x):
+        mask = 0
+        for i, verts in sides:
+            answers = sess.slices[(i, x[i - 1])]
+            for v in verts:
+                sign, refs = answers[v]
+                parity ^= sign < 0
+                for r in refs:
+                    mask ^= 1 << bit[(i, r)]
+        masks.append([(mask >> (64 * w)) & _WORD for w in range(words)])
+        parities.append(parity)
+    return np.array(masks, dtype=np.uint64).reshape(-1, words), np.array(parities, dtype=np.uint8)
+
+
+def _verdicts(outcome_bits: np.ndarray, inverse: np.ndarray, checks) -> np.ndarray:
+    """Whether each row passes every check of its input (``checks[inverse[row]]``)."""
+    count = max(len(parities) for _, parities in checks)
+    mask = np.zeros((len(checks), count, outcome_bits.shape[1]), np.uint64)
+    parity = np.zeros((len(checks), count), np.uint8)
+    for j, (masks, parities) in enumerate(checks):  # absent checks: empty mask, even parity
+        mask[j, : len(parities)] = masks
+        parity[j, : len(parities)] = parities
+    odd = np.bitwise_count(outcome_bits[:, None, :] & mask[inverse]).sum(axis=2) & 1
+    return (odd == parity[inverse]).all(axis=1)
+
+
 def run_session(game: GraphicGame, config: SessionConfig) -> SessionStats:
-    """Play ``config.rounds`` rounds; fully reproducible from ``config.seed``."""
+    """Play ``config.rounds`` rounds; fully reproducible from ``config.seed``.
+
+    Round ``r`` is the round ``replay_round(game, config, r)`` regenerates.
+    """
     sess = _prepare(game, config)
-    wins = 0
-    per_input: dict[str, list[int]] = {}
-    for r in range(config.rounds):
-        rec = _play(sess, _substream(config.seed, r))
-        wins += rec.verdict
-        cell = per_input.setdefault(bits_key(rec.x), [0, 0])
-        cell[0] += 1
-        cell[1] += rec.verdict
-    estimate = wins / config.rounds
+    npairs = len(sess.pairs)
+    first_pair_draw = game.n if isinstance(game.distribution, IIDDistribution) else 1
+    words = max(1, -(-npairs // 32))
+    # Pair k's outcome index, 2 * [side a is -1] + [side b is -1], fills bits 2k and 2k + 1.
+    bit = {}
+    for k, (v, a, b) in enumerate(sess.pairs):
+        bit[(a, v)], bit[(b, v)] = 2 * k + 1, 2 * k
+    owners = np.array([(a - 1, b - 1) for _, a, b in sess.pairs], dtype=np.intp).reshape(-1, 2)
+    thresholds = _pair_thresholds(sess)
+
+    stream = _stream(sess, config.seed, 0)
+    compiled: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    tally: dict[tuple[int, ...], list[int]] = {}
+    for start in range(0, config.rounds, _CHUNK):
+        u = stream.random((min(_CHUNK, config.rounds - start), sess.width))
+        xs = _inputs(sess, u)
+        draws = u[:, first_pair_draw : first_pair_draw + npairs]
+        table = 2 * xs[:, owners[:, 0]] + xs[:, owners[:, 1]]
+        drawn = (thresholds[np.arange(npairs), table] <= draws[:, :, None]).sum(axis=2)
+        inputs, inverse = _distinct(xs)
+        for x in inputs:
+            if x not in compiled:
+                compiled[x] = _compile(sess, x, bit, words)
+        won = _verdicts(_pack(drawn, 2), inverse, [compiled[x] for x in inputs])
+        plays = np.bincount(inverse, minlength=len(inputs)).tolist()
+        wins = np.bincount(inverse[won], minlength=len(inputs)).tolist()
+        for x, k, w in zip(inputs, plays, wins):
+            cell = tally.setdefault(x, [0, 0])
+            cell[0] += k
+            cell[1] += w
+
+    total = sum(w for _, w in tally.values())
+    estimate = total / config.rounds
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / config.rounds)
     return SessionStats(
-        wins=wins,
+        wins=total,
         rounds=config.rounds,
         estimate=estimate,
         stderr=stderr,
-        per_input_counts={k: (v[0], v[1]) for k, v in sorted(per_input.items())},
+        per_input_counts=dict(sorted((bits_key(x), (k, w)) for x, (k, w) in tally.items())),
     )
 
 
@@ -208,4 +343,4 @@ def replay_round(game: GraphicGame, config: SessionConfig, round_index: int) -> 
     if not (0 <= round_index < config.rounds):
         raise GraphGameError(f"round index {round_index} outside 0..{config.rounds - 1}")
     sess = _prepare(game, config)
-    return _play(sess, _substream(config.seed, round_index))
+    return _play(sess, _stream(sess, config.seed, round_index).random(sess.width).tolist())

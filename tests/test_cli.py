@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from graphgame import DeterministicStrategy, IIDDistribution, classical_value
+from graphgame import DeterministicStrategy, IIDDistribution, build_strategy, classical_value
 from graphgame import cli, games
 from graphgame import io as ggio
 
@@ -76,6 +76,17 @@ class TestValidate:
         assert code == 2
         assert report_dict(text)["status"] == "invalid"
         assert "bad-distribution" in text
+
+    @pytest.mark.parametrize("command", ["validate", "value", "simulate"])
+    def test_huge_probability_exits_3(self, command, tmp_path):
+        doc = json.loads(resources.files("graphgame").joinpath("fixtures/chsh.game").read_text())
+        doc["distribution"]["p"] = "@"
+        spec = tmp_path / "huge_p.game"
+        spec.write_text(json.dumps(doc).replace('"@"', "1" + "0" * 400))
+        argv = [command, str(spec)] + (["--strategy", "/no/such/file"] if command == "simulate" else [])
+        code, text = run(*argv)
+        assert code == 3
+        assert ggio.validate_report(text) == []
 
     def test_parse_failure_exits_3(self, tmp_path):
         bad = tmp_path / "broken.game"
@@ -242,6 +253,19 @@ class TestSimulate:
         assert ggio.validate_report(text) == []
         assert abs(float(report["estimate"]) - 0.75) < 0.05
         assert int(report["rounds"]) == 4000
+        assert float(report["timing.simulate_ms"]) >= 0.0
+
+    @pytest.mark.parametrize("angle", ["NaN", "Infinity", "1" + "0" * 400, '"abc"'])
+    def test_bad_angle_exits_5(self, angle, tmp_path):
+        strategy, _ = build_strategy(games.chsh_game())
+        doc = json.loads(ggio.serialize_strategy(strategy))
+        doc["angles"][0]["angle"] = "@"
+        strategy_file = tmp_path / "bad_angle.strategy"
+        strategy_file.write_text(json.dumps(doc).replace('"@"', angle))
+        code, text = run("simulate", fixture_path("chsh"), "--strategy", str(strategy_file))
+        assert code == 5
+        assert ggio.validate_report(text) == []
+        assert "timing.simulate_ms" not in report_dict(text)
 
     def test_missing_strategy_exits_5(self):
         code, _ = run("simulate", fixture_path("chsh"), "--strategy", "/no/such/file")

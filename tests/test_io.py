@@ -65,6 +65,20 @@ class TestStrictParsing:
         g = io.parse_game(json.dumps(doc))
         assert g.owned(1, 0) == frozenset()
 
+    @pytest.mark.parametrize("value", ["1" + "0" * 400, '"0.5"', "true", "null"])
+    def test_iid_p_must_be_a_float(self, value):
+        doc = json.loads(fixture_text("chsh"))
+        doc["distribution"]["p"] = "@"
+        with pytest.raises(io.GameSpecError, match="iid p"):
+            io.parse_game(json.dumps(doc).replace('"@"', value))
+
+    @pytest.mark.parametrize("value", ["1" + "0" * 400, '"abc"'])
+    def test_joint_entries_must_be_floats(self, value):
+        doc = json.loads(fixture_text("chsh"))
+        doc["distribution"] = {"kind": "joint", "table": {"00": 0.5, "01": 0.5, "10": 0.0, "11": "@"}}
+        with pytest.raises(io.GameSpecError, match="joint probability for '11'"):
+            io.parse_game(json.dumps(doc).replace('"@"', value))
+
     def test_target_values_must_be_integers(self):
         doc = json.loads(fixture_text("gyni3"))
         doc["payoff"]["tables"]["1"]["000"] = 0.5
@@ -99,6 +113,14 @@ class TestStrategyFiles:
                     }
                 )
             )
+
+    @pytest.mark.parametrize("value", ["1" + "0" * 400, '"abc"', '"0.5"'])
+    def test_angles_must_be_floats(self, value):
+        strategy, _ = build_strategy(games.chsh_game())
+        doc = json.loads(io.serialize_strategy(strategy))
+        doc["angles"][0]["angle"] = "@"
+        with pytest.raises(io.StrategyFileError, match="angle of"):
+            io.parse_strategy(json.dumps(doc).replace('"@"', value))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(io.StrategyFileError):

@@ -26,7 +26,7 @@ from graphgame import (
     trig_power_mean_holds,
     unbalanced_chsh_has_advantage,
 )
-from graphgame.quantum import StrategyError, _Evaluator, validate_strategy
+from graphgame.quantum import OutputExpr, StrategyError, _Evaluator, validate_strategy
 from graphgame import games
 
 from _oracles import (
@@ -138,6 +138,25 @@ class TestExactValue:
         broken = QuantumStrategy(angles={}, wiring=dict(strategy.wiring))
         with pytest.raises(StrategyError):
             validate_strategy(g, broken, model)
+
+    @pytest.mark.parametrize("key", [(3, 0, "v1"), (1, 2, "v1")], ids=["player", "input"])
+    def test_wiring_outside_the_game_rejected(self, key):
+        g = games.chsh_game()
+        strategy, model = build_strategy(g)
+        broken = QuantumStrategy(angles=dict(strategy.angles), wiring={**strategy.wiring, key: OutputExpr(1)})
+        with pytest.raises(StrategyError, match="no such player or input"):
+            validate_strategy(g, broken, model)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        g = games.chsh_game()
+        strategy, model = build_strategy(g)
+        key = sorted(strategy.angles)[0]
+        broken = strategy.with_angles({**strategy.angles, key: bad})
+        with pytest.raises(StrategyError, match="not finite"):
+            validate_strategy(g, broken, model)
+        with pytest.raises(StrategyError):
+            exact_quantum_value(g, broken)
 
 
 class TestOracleAgreement:

@@ -9,6 +9,7 @@ from graphgame import (
     DeterministicStrategy,
     GraphGameError,
     GraphicGame,
+    IIDDistribution,
     JointDistribution,
     SessionConfig,
     build_pair_model,
@@ -22,7 +23,8 @@ from graphgame import (
     run_session,
     strategy_value,
 )
-from graphgame.runner import StrategyMismatchError, answer_quantum
+from graphgame.model import bits_key, input_vectors, input_weight
+from graphgame.runner import _CHUNK, StrategyMismatchError, answer_quantum
 from graphgame import games
 
 from _oracles import random_game, random_quantum_strategy
@@ -106,14 +108,151 @@ class TestSessions:
             )
 
 
+def with_prior(game, distribution):
+    return GraphicGame(
+        graph=game.graph,
+        n=game.n,
+        m=game.m,
+        assignments=game.assignments,
+        distribution=distribution,
+        payoff=game.payoff,
+    )
+
+
+def random_joint_prior(rng, n):
+    """A random joint table with one input string at probability zero."""
+    keys = [bits_key(x) for x in input_vectors(n)]
+    weights = rng.uniform(0.2, 1.0, size=len(keys))
+    weights[rng.integers(len(keys))] = 0.0
+    weights /= weights.sum()
+    return JointDistribution(dict(zip(keys, weights.tolist())))
+
+
+def replayed_counts(game, config):
+    """Per-input (plays, wins) summed over ``replay_round`` records."""
+    counts = {}
+    for r in range(config.rounds):
+        rec = replay_round(game, config, r)
+        cell = counts.setdefault(bits_key(rec.x), [0, 0])
+        cell[0] += 1
+        cell[1] += rec.verdict
+    return {k: tuple(v) for k, v in sorted(counts.items())}
+
+
+def assert_session_matches_replays(game, config):
+    stats = run_session(game, config)
+    want = replayed_counts(game, config)
+    assert stats.per_input_counts == want
+    assert stats.wins == sum(w for _, w in want.values())
+    assert stats.estimate == stats.wins / config.rounds
+
+
+CONSISTENCY_FIXTURES = sorted(
+    name for name, build in games.FIXTURES.items() if isinstance(build().payoff, ConsistencyPayoff)
+)
+
+
+class TestChunkedSessions:
+    """``run_session`` plays chunks of rounds as array operations; its counts
+    must equal the scalar replays of the same rounds exactly."""
+
+    def test_counts_equal_replays(self):
+        rng = np.random.default_rng(41)
+        cases = [games.FIXTURES[name]() for name in CONSISTENCY_FIXTURES]
+        for k in range(30):
+            g = random_game(rng)
+            if k % 3 == 1:
+                g = with_prior(g, IIDDistribution(float(rng.choice([0.0, 1.0, rng.uniform()]))))
+            elif k % 3 == 2:
+                g = with_prior(g, random_joint_prior(rng, g.n))
+            cases.append(g)
+        for k, g in enumerate(cases):
+            for strategy in (classical_value(g)[1], random_quantum_strategy(rng, g)):
+                assert_session_matches_replays(g, SessionConfig(rounds=120, seed=500 + k, strategy=strategy))
+
+    def test_joint_prior_with_zero_entry(self):
+        rng = np.random.default_rng(42)
+        g = with_prior(games.star_game(3), random_joint_prior(rng, 3))
+        zero = next(key for key, p in g.distribution.table.items() if p == 0.0)
+        for strategy in (classical_value(g)[1], random_quantum_strategy(rng, g)):
+            config = SessionConfig(rounds=600, seed=43, strategy=strategy)
+            assert_session_matches_replays(g, config)
+            assert zero not in run_session(g, config).per_input_counts
+
+    @pytest.mark.parametrize("rounds", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    def test_chunk_seams(self, rounds):
+        g = games.chsh_game()
+        config = SessionConfig(rounds=rounds, seed=44, strategy=chsh_quantum_strategy())
+        assert_session_matches_replays(g, config)
+
+    def test_wide_game(self):
+        # 66 players and 65 pairs: inputs and outcome bits each span several words.
+        rng = np.random.default_rng(45)
+        g = games.star_game(66, 0.3)
+        strategy, _ = build_strategy(g, allow_multiway=True)
+        strategy = strategy.with_angles({k: float(rng.uniform(0.0, 2.0 * math.pi)) for k in strategy.angles})
+        assert_session_matches_replays(g, SessionConfig(rounds=40, seed=46, strategy=strategy))
+
+    def test_prefix_property(self):
+        g = games.star_game(4, 0.3)
+        strategy, _ = build_strategy(g)
+        strategy = strategy.with_angles({k: 0.3 * j for j, k in enumerate(sorted(strategy.angles))})
+        short = SessionConfig(rounds=500, seed=47, strategy=strategy)
+        long = SessionConfig(rounds=1000, seed=47, strategy=strategy)
+        for r in (0, 1, 255, 256, 499):
+            assert replay_round(g, short, r) == replay_round(g, long, r)
+        first = run_session(g, short).per_input_counts
+        both = run_session(g, long).per_input_counts
+        assert all(first[key][0] <= both[key][0] for key in first)
+
+    def test_negative_seed(self):
+        g = games.chsh_game()
+        config = SessionConfig(rounds=300, seed=-5, strategy=chsh_quantum_strategy())
+        assert_session_matches_replays(g, config)
+        masked = SessionConfig(rounds=300, seed=-5 & (2**63 - 1), strategy=config.strategy)
+        assert run_session(g, config) == run_session(g, masked)
+        assert replay_round(g, config, 7) == replay_round(g, masked, 7)
+
+
+class TestStatistics:
+    @pytest.mark.parametrize("prior", ["iid", "joint"])
+    def test_input_frequencies_chi_square(self, prior):
+        g = games.star_game(4, 0.3)
+        if prior == "joint":
+            g = with_prior(g, random_joint_prior(np.random.default_rng(51), g.n))
+        rounds = 40000
+        stats = run_session(g, SessionConfig(rounds=rounds, seed=52, strategy=classical_value(g)[1]))
+        plays = {key: k for key, (k, _) in stats.per_input_counts.items()}
+        cells = [(plays.get(bits_key(x), 0), input_weight(g.distribution, x)) for x in input_vectors(g.n)]
+        assert all(plays == 0 for plays, p in cells if p == 0.0)
+        support = [(plays, p) for plays, p in cells if p > 0.0]
+        chi2 = sum((plays - rounds * p) ** 2 / (rounds * p) for plays, p in support)
+        dof = len(support) - 1
+        assert chi2 <= dof + 5 * math.sqrt(2 * dof)
+
+    @pytest.mark.parametrize("name", CONSISTENCY_FIXTURES)
+    def test_estimates_within_5_sigma(self, name):
+        game = games.FIXTURES[name]()
+        quantum, _ = build_strategy(game, allow_multiway=True)
+        quantum = quantum.with_angles({k: 0.4 + 0.7 * j for j, k in enumerate(sorted(quantum.angles))})
+        witness = classical_value(game)[1]
+        rounds = 20000
+        plays = (
+            (quantum, exact_quantum_value(game, quantum, allow_multiway=True)),
+            (witness, strategy_value(game, witness)),
+        )
+        for seed, (strategy, exact) in enumerate(plays):
+            stats = run_session(game, SessionConfig(rounds=rounds, seed=60 + seed, strategy=strategy))
+            assert abs(stats.estimate - exact) <= 5 * math.sqrt(exact * (1 - exact) / rounds) + 1e-12
+
+
 class TestReferenceAgreement:
     """The simulator scores rounds with the referee's parity checks; every
     replayed verdict must match the reference referee on the same answers."""
 
     def test_replayed_rounds_match_reference_referee(self):
         rng = np.random.default_rng(31)
-        fixtures = [build() for build in games.FIXTURES.values()]
-        cases = [g for g in fixtures if isinstance(g.payoff, ConsistencyPayoff)]
+        cases = [games.FIXTURES[name]() for name in CONSISTENCY_FIXTURES]
         cases += [random_game(rng) for _ in range(30)]
         plays = [(g, s) for g in cases for s in (classical_value(g)[1], random_quantum_strategy(rng, g))]
         for k, (g, strategy) in enumerate(plays):
