@@ -217,13 +217,17 @@ def cmd_gyni(args) -> int:
     injective = check_injective(game.payoff.targets, game.n)
     pairs.append(("injective", "true" if injective else "false"))
     pairs.append(("classical_bound", io.fmt_float(gyni_classical_bound(game.distribution, game.n))))
+    t0 = time.perf_counter()
     try:
         brute = target_classical_value(game, budget=args.budget)
     except StrategySpaceError as exc:
         return _over_budget(pairs, exc, exc.space_size)
     pairs.append(("brute_force_value", io.fmt_float(brute)))
+    pairs.append(("timing.classical_ms", io.fmt_float((time.perf_counter() - t0) * 1e3)))
     opts = OptimizeOptions(restarts=args.restarts, seed=args.seed)
+    t0 = time.perf_counter()
     pairs.append(("quantum_probe", io.fmt_float(target_quantum_probe(game, opts))))
+    pairs.append(("timing.probe_ms", io.fmt_float((time.perf_counter() - t0) * 1e3)))
     return _emit(pairs)
 
 

@@ -248,19 +248,3 @@ FIXTURES = {
     "disconnected": disconnected_game,
     "constant": constant_target_game,
 }
-
-
-def write_fixtures(directory) -> list[str]:
-    """Write every bundled fixture as ``<name>.game`` into ``directory``."""
-    import pathlib
-
-    from .io import serialize_game
-
-    out = []
-    base = pathlib.Path(directory)
-    base.mkdir(parents=True, exist_ok=True)
-    for name, build in sorted(FIXTURES.items()):
-        path = base / f"{name}.game"
-        path.write_text(serialize_game(build()))
-        out.append(str(path))
-    return out

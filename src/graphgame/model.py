@@ -85,10 +85,6 @@ class Graph:
     def __contains__(self, v) -> bool:
         return v in self._vertex_set  # type: ignore[attr-defined]
 
-    @property
-    def vertex_set(self) -> frozenset[str]:
-        return self._vertex_set  # type: ignore[attr-defined]
-
 
 @dataclass(frozen=True)
 class AssignmentMap:

@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iter_product
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .classical import DeterministicStrategy, _best_complementary_pair, target_value_from_tables
 from .model import (
@@ -266,12 +267,13 @@ def deterministic_as_quantum(game: GraphicGame, det: DeterministicStrategy) -> Q
 
 def _parity_constraints(
     game: GraphicGame,
-    wiring: Mapping[tuple[int, int, str], OutputExpr],
+    answers: Mapping[tuple[int, int, str], tuple[int, tuple[str, ...]]],
     x: Sequence[int],
     bit: Mapping[tuple[int, str], int],
 ) -> list[tuple[int, int]]:
     """``referee_checks`` at ``x`` with each side's wired outputs substituted.
 
+    ``answers[(player, input, vertex)]`` is the wiring's ``(sign, refs)``.
     Outcome bit ``o`` stands for the sign ``(-1)**o`` of the measured half
     ``(player, vertex)`` whose bitmask is ``bit[...]``, so every wired output
     is ``sign * (-1)**popcount(outcomes & mask)``.  Each returned ``(mask,
@@ -283,9 +285,9 @@ def _parity_constraints(
         mask = 0
         for i, verts in sides:
             for v in verts:
-                expr = wiring[(i, x[i - 1], v)]
-                parity ^= expr.sign < 0
-                for r in expr.refs:
+                sign, refs = answers[(i, x[i - 1], v)]
+                parity ^= sign < 0
+                for r in refs:
                     mask ^= bit[(i, r)]
         constraints.append((mask, parity))
     return constraints
@@ -339,6 +341,7 @@ class _Evaluator:
         index = {k: i for i, k in enumerate(self.slots)}
         # Monomial (its correlators' slot pairs, in pair order) -> coefficient.
         coeffs: dict[tuple[tuple[int, int], ...], float] = {}
+        answers = {key: (e.sign, e.refs) for key, e in strategy.wiring.items()}
         for x, w in weighted_inputs(game.distribution, game.n):
             bit: dict[tuple[int, str], int] = {}
             full: list[tuple[tuple[int, int], int]] = []  # (slot pair, mask of both halves)
@@ -350,7 +353,7 @@ class _Evaluator:
                         bit[(player, v)] = 1 << len(bit)
                 if ia is not None and ib is not None:
                     full.append(((ia, ib), bit[(a, v)] | bit[(b, v)]))
-            basis = _echelon(_parity_constraints(game, strategy.wiring, x, bit))
+            basis = _echelon(_parity_constraints(game, answers, x, bit))
             if basis is None:
                 continue
             scale = w / 2.0 ** len(basis)
@@ -603,6 +606,13 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
     number is the exact value of a concrete strategy, so for injective
     targets it can never exceed the classical optimum.  Games without any
     two-owner vertex degenerate to the classical response search.
+
+    Arrays run over the ``X`` weighted inputs and ``O = 4**pairs`` outcome
+    tuples: ``digit[o, k]`` is pair ``k``'s outcome (0..3 for ++, +-, -+, --;
+    first pair most significant), and ``view[i][o]`` packs player ``i``'s
+    outcome bits on the pairs it holds into a column of its ``2 x 2**held``
+    table ``tabs[i]`` of sorted-image indices.  ``probs(theta)`` is the
+    ``X x O`` matrix of input weight times outcome probability.
     """
     if not isinstance(game.payoff, TargetPayoff):
         raise GraphGameError("target_quantum_probe requires a target-mode game")
@@ -613,112 +623,74 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
     if not model.pairs:
         return target_value_from_tables(tables, game.distribution, game.n)
 
-    images = {i: sorted(set(tables[i].values())) for i in game.players}
-    slots = sorted(
-        (i, v, x) for v, a, b in model.pairs for i in (a, b) for x in (0, 1)
-    )
-    slot_index = {key: idx for idx, key in enumerate(slots)}
-    weighted = [(x, bits_key(x), w) for x, w in weighted_inputs(game.distribution, game.n)]
-    combos = list(_iter_product(*[((1, 1), (1, -1), (-1, 1), (-1, -1)) for _ in model.pairs]))
-
-    def outcome_views(combo) -> dict[int, tuple[int, ...]]:
-        # Each player's own outcomes, over the pairs it holds in pair order.
-        return {
-            i: tuple(
-                combo[k][0] if i == a else combo[k][1]
-                for k, (_, a, b) in enumerate(model.pairs)
-                if i in (a, b)
-            )
-            for i in game.players
-        }
-
-    views = [outcome_views(c) for c in combos]
-
-    def probs_for(x, theta) -> list[float]:
-        out = [1.0]
-        for v, a, b in model.pairs:
-            c = math.cos(theta[slot_index[(a, v, x[a - 1])]] - theta[slot_index[(b, v, x[b - 1])]])
-            q = (1.0 + c) * 0.25
-            r = (1.0 - c) * 0.25
-            out = [p * e for p in out for e in (q, r, r, q)]
-        return out
-
-    def value_of(tables_now, theta) -> float:
-        total = 0.0
-        for x, key, w in weighted:
-            probs = probs_for(x, theta)
-            for P, view in zip(probs, views):
-                if all(
-                    tables_now[i][(x[i - 1], view[i])] == tables[i][key]
-                    for i in game.players
-                ):
-                    total += w * P
-        return total
-
-    def best_response(tables_now, theta, player) -> bool:
-        changed = False
-        for xbit in (0, 1):
-            cells = sorted({view[player] for view in views})
-            for cell in cells:
-                score = {v: 0.0 for v in images[player]}
-                for x, key, w in weighted:
-                    if x[player - 1] != xbit:
-                        continue
-                    probs = probs_for(x, theta)
-                    for P, view in zip(probs, views):
-                        if view[player] != cell:
-                            continue
-                        if all(
-                            tables_now[j][(x[j - 1], view[j])] == tables[j][key]
-                            for j in game.players
-                            if j != player
-                        ):
-                            score[tables[player][key]] += w * P
-                best_v = max(images[player], key=lambda v: (score[v], -images[player].index(v)))
-                if tables_now[player][(xbit, cell)] != best_v:
-                    tables_now[player][(xbit, cell)] = best_v
-                    changed = True
-        return changed
-
-    def keyed_tables(xstar) -> dict[int, dict]:
-        key_s = bits_key(xstar)
-        key_f = bits_key([1 - b for b in xstar])
-        out: dict[int, dict] = {}
-        for i in game.players:
-            out[i] = {}
-            for xbit in (0, 1):
-                answer = tables[i][key_s] if xbit == xstar[i - 1] else tables[i][key_f]
-                for view in views:
-                    out[i][(xbit, view[i])] = answer
-        return out
-
+    players = range(game.n)
+    images = [sorted(set(tables[i + 1].values())) for i in players]
+    weighted = weighted_inputs(game.distribution, game.n)
+    xs, w = map(np.array, zip(*weighted))
+    target = np.array([[images[i].index(tables[i + 1][bits_key(x)]) for i in players] for x, _ in weighted])
+    slots = sorted((i, v, x) for v, a, b in model.pairs for i in (a, b) for x in (0, 1))
+    ends = [  # per (input, pair): the two halves' angle slots
+        (slots.index((a, v, x[a - 1])), slots.index((b, v, x[b - 1])))
+        for x, _ in weighted
+        for v, a, b in model.pairs
+    ]
+    npairs = len(model.pairs)
+    digit = np.arange(4**npairs)[:, None] // 4 ** np.arange(npairs - 1, -1, -1) % 4
+    # keyed[i]: player i's starting table, right on the best complementary pair of inputs.
     xstar = _best_complementary_pair(game.distribution, game.n)[0]
+    pair_keys = (bits_key(xstar), bits_key([1 - b for b in xstar]))
+    view, cells, keyed = [], [], []
+    for i in players:
+        # Side a's outcome is -1 at digits 2 and 3, side b's at digits 1 and 3.
+        own = [digit[:, k] >> (i + 1 == a) & 1 for k, (_, a, b) in enumerate(model.pairs) if i + 1 in (a, b)]
+        view.append(sum((bit << j for j, bit in enumerate(own)), np.zeros(len(digit), np.intp)))
+        cells.append(2 ** len(own))
+        start = [images[i].index(tables[i + 1][key]) for key in pair_keys]
+        keyed.append(np.array([[start[b != xstar[i]]] * cells[i] for b in (0, 1)]))
 
-    def sampled_sinusoid(tabs, theta, idx) -> tuple[float, float, float]:
+    def probs(theta) -> np.ndarray:
+        c = np.array([math.cos(theta[s] - theta[t]) for s, t in ends]).reshape(len(w), npairs, 1)
+        rows = np.concatenate([1.0 + c, 1.0 - c, 1.0 - c, 1.0 + c], axis=-1) * 0.25
+        out = np.ones((len(w), 1))
+        for k in range(npairs):
+            out = (out[:, :, None] * rows[:, k, None, :]).reshape(len(w), -1)
+        return out * w[:, None]
+
+    def hits(tabs) -> np.ndarray:
+        return np.array([tabs[i][xs[:, i, None], view[i]] == target[:, i, None] for i in players])
+
+    def value(won, theta) -> float:
+        return float(probs(theta)[won].sum())
+
+    def best_response(tabs, p) -> None:
+        # A player's cells score independently, so one bincount answers all of them.
+        for i in players:
+            others = np.delete(hits(tabs), i, axis=0).all(axis=0)
+            index = (xs[:, i, None] * cells[i] + view[i]) * len(images[i]) + target[:, i, None]
+            score = np.bincount(index.ravel(), (p * others).ravel(), 2 * cells[i] * len(images[i]))
+            tabs[i] = score.reshape(2, cells[i], -1).argmax(axis=-1)
+
+    def sampled_sinusoid(won, theta, idx) -> tuple[float, float, float]:
         # a*cos(t) + b*sin(t) + c through the values at t = 0, pi/2 and pi.
-        old = theta[idx]
-        samples = []
-        for t in (0.0, 0.5 * math.pi, math.pi):
-            theta[idx] = t
-            samples.append(value_of(tabs, theta))
-        theta[idx] = old
-        v0, v_half, v_pi = samples
+        v0, v_half, v_pi = (
+            value(won, theta[:idx] + [t] + theta[idx + 1 :]) for t in (0.0, 0.5 * math.pi, math.pi)
+        )
         c = 0.5 * (v0 + v_pi)
         return 0.5 * (v0 - v_pi), v_half - c, c
 
     best = 0.0
     for restart in range(opts.restarts):
         theta = _substream(opts.seed, restart).uniform(0.0, 2.0 * math.pi, size=len(slots)).tolist()
-        tabs = keyed_tables(xstar)
-        current = value_of(tabs, theta)
+        tabs = [t.copy() for t in keyed]
+        current = value(hits(tabs).all(axis=0), theta)
         for _ in range(opts.max_sweeps):
-            for player in game.players:
-                best_response(tabs, theta, player)
-            now = value_of(tabs, theta)
+            best_response(tabs, probs(theta))
+            won = hits(tabs).all(axis=0)
+            now = value(won, theta)
             for idx in range(len(theta)):
-                now = _exact_step(theta, idx, *sampled_sinusoid(tabs, theta, idx), now)
+                now = _exact_step(theta, idx, *sampled_sinusoid(won, theta, idx), now)
             if now - current < opts.tolerance:
                 break
             current = now
-        best = max(best, value_of(tabs, theta))
+        best = max(best, value(won, theta))
     return best

@@ -19,9 +19,9 @@ array operations:
 * each pair's outcome index as the number of cumulative thresholds of its
   4-entry outcome table that lie at or below its draw;
 * the outcome bits packed into uint64 words;
-* the verdict as parities of those words, one per referee check
-  (``model.referee_checks``), compiled with the players' answer slices
-  into ``(mask, parity)`` rows for each input that occurs.
+* the verdict as parities of those words, one ``(mask, parity)`` row per
+  referee check with the players' answers substituted
+  (``quantum._parity_constraints``), for each input that occurs.
 
 ``replay_round`` plays one round through the readable scalar path and
 returns its full record.  Both paths read the same draws and compare them
@@ -30,7 +30,7 @@ with the same float sums, so they agree round for round.
 Player isolation is structural: a replayed round's answers come from a
 module-level function that receives only the player's own strategy slice,
 own input bit and own measured outcomes, and a compiled row reads each
-player's answers from that player's own slice.
+player's answers at that player's own input bit only.
 """
 
 from __future__ import annotations
@@ -53,7 +53,13 @@ from .model import (
     referee_checks,
     weighted_inputs,
 )
-from .quantum import QuantumStrategy, build_pair_model, pair_outcome_distribution, validate_strategy
+from .quantum import (
+    QuantumStrategy,
+    _parity_constraints,
+    build_pair_model,
+    pair_outcome_distribution,
+    validate_strategy,
+)
 
 Strategy = Union[DeterministicStrategy, QuantumStrategy]
 
@@ -109,7 +115,8 @@ def answer_quantum(
 @dataclass(frozen=True)
 class _Session:
     game: GraphicGame
-    slices: Mapping[tuple[int, int], Mapping[str, tuple[int, tuple[str, ...]]]]
+    answers: Mapping[tuple[int, int, str], tuple[int, tuple[str, ...]]]  # (sign, refs)
+    slices: Mapping[tuple[int, int], Mapping[str, tuple[int, tuple[str, ...]]]]  # answers by (i, x)
     angles: Mapping[tuple[int, str, int], float]
     pairs: tuple[tuple[str, int, int], ...]  # empty for a deterministic strategy
     joint_inputs: tuple[tuple[int, ...], ...]  # inverse-CDF support of a joint prior
@@ -131,7 +138,7 @@ def _prepare(game: GraphicGame, config: SessionConfig) -> _Session:
             raise StrategyMismatchError("deterministic signs do not cover the owned vertices")
         if any(s not in (1, -1) for s in strategy.signs.values()):
             raise StrategyMismatchError("deterministic signs must be +1/-1")
-        answers = ((key, (s, ())) for key, s in strategy.signs.items())
+        answers = {key: (s, ()) for key, s in strategy.signs.items()}
         angles, pairs = {}, ()
     elif isinstance(strategy, QuantumStrategy):
         model = build_pair_model(game, allow_multiway=True)
@@ -139,13 +146,13 @@ def _prepare(game: GraphicGame, config: SessionConfig) -> _Session:
             validate_strategy(game, strategy, model)
         except GraphGameError as exc:
             raise StrategyMismatchError(str(exc)) from exc
-        answers = ((key, (e.sign, e.refs)) for key, e in strategy.wiring.items())
+        answers = {key: (e.sign, e.refs) for key, e in strategy.wiring.items()}
         angles, pairs = strategy.angles, model.pairs
     else:
         raise StrategyMismatchError(f"unsupported strategy type {type(strategy).__name__}")
 
     slices: dict[tuple[int, int], dict] = {(i, b): {} for i in game.players for b in (0, 1)}
-    for (i, b, v), answer in answers:
+    for (i, b, v), answer in answers.items():
         slices[(i, b)][v] = answer
     joint, input_draws = (), game.n
     if not isinstance(game.distribution, IIDDistribution):
@@ -153,7 +160,7 @@ def _prepare(game: GraphicGame, config: SessionConfig) -> _Session:
         input_draws = 1
     width = 4 * -(-(input_draws + len(pairs)) // 4)
     return _Session(
-        game, slices, angles, pairs, tuple(x for x, _ in joint), tuple(w for _, w in joint), width
+        game, answers, slices, angles, pairs, tuple(x for x, _ in joint), tuple(w for _, w in joint), width
     )
 
 
@@ -256,25 +263,11 @@ def _distinct(xs: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
 
 
 def _compile(sess: _Session, x: tuple[int, ...], bit: Mapping[tuple[int, str], int], words: int):
-    """The referee's checks at ``x`` as outcome-bit masks (``words`` uint64 each) and parities.
-
-    A check holds when the outcome bits under its mask have the parity: each
-    answer is its sign times its refs' outcomes, so the sign's minus moves
-    into the parity and each ref toggles its outcome bit ``bit[(player, ref)]``.
-    """
-    masks, parities = [], []
-    for sides, parity in referee_checks(sess.game, x):
-        mask = 0
-        for i, verts in sides:
-            answers = sess.slices[(i, x[i - 1])]
-            for v in verts:
-                sign, refs = answers[v]
-                parity ^= sign < 0
-                for r in refs:
-                    mask ^= 1 << bit[(i, r)]
-        masks.append([(mask >> (64 * w)) & _WORD for w in range(words)])
-        parities.append(parity)
-    return np.array(masks, dtype=np.uint64).reshape(-1, words), np.array(parities, dtype=np.uint8)
+    """The referee's checks at ``x`` (``quantum._parity_constraints``), each
+    mask split into ``words`` uint64 words, and their parities."""
+    rows = _parity_constraints(sess.game, sess.answers, x, bit)
+    masks = [[(mask >> (64 * w)) & _WORD for w in range(words)] for mask, _ in rows]
+    return np.array(masks, dtype=np.uint64).reshape(-1, words), np.array([p for _, p in rows], dtype=np.uint8)
 
 
 def _verdicts(outcome_bits: np.ndarray, inverse: np.ndarray, checks) -> np.ndarray:
@@ -298,10 +291,11 @@ def run_session(game: GraphicGame, config: SessionConfig) -> SessionStats:
     npairs = len(sess.pairs)
     first_pair_draw = game.n if isinstance(game.distribution, IIDDistribution) else 1
     words = max(1, -(-npairs // 32))
-    # Pair k's outcome index, 2 * [side a is -1] + [side b is -1], fills bits 2k and 2k + 1.
+    # Pair k's outcome index, 2 * [side a is -1] + [side b is -1], fills bits 2k and 2k + 1;
+    # bit[(player, vertex)] is the mask of that half's bit.
     bit = {}
     for k, (v, a, b) in enumerate(sess.pairs):
-        bit[(a, v)], bit[(b, v)] = 2 * k + 1, 2 * k
+        bit[(a, v)], bit[(b, v)] = 1 << 2 * k + 1, 1 << 2 * k
     owners = np.array([(a - 1, b - 1) for _, a, b in sess.pairs], dtype=np.intp).reshape(-1, 2)
     thresholds = _pair_thresholds(sess)
 

@@ -22,9 +22,12 @@ from graphgame import (
     Graph,
     GraphicGame,
     IIDDistribution,
+    JointDistribution,
     QuantumStrategy,
+    TargetFunction,
+    TargetPayoff,
 )
-from graphgame.model import OutputAssignment, evaluate_payoff, input_vectors, input_weight
+from graphgame.model import OutputAssignment, bits_key, evaluate_payoff, input_vectors, input_weight
 from graphgame.quantum import OutputExpr
 
 _KET = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)  # (|00> + |11>)/sqrt(2)
@@ -262,6 +265,43 @@ def random_game(rng: np.random.Generator, max_vertices: int = 4) -> GraphicGame:
         assignments=AssignmentMap(owned),
         distribution=IIDDistribution(0.5),
         payoff=ConsistencyPayoff(),
+    )
+
+
+def random_target_game(rng: np.random.Generator) -> GraphicGame:
+    """Small target game whose shared vertices carry up to three pairs.
+
+    Every player owns a private vertex at both inputs; each shared vertex
+    goes to two random players, each of whom owns it at one or both inputs.
+    Targets are drawn from 2-3 values; the prior is iid or a random joint
+    table with some inputs at probability zero.
+    """
+    n = int(rng.integers(2, 4))
+    owned = {(i, x): [f"p{i}"] for i in range(1, n + 1) for x in (0, 1)}
+    shared = [f"s{k}" for k in range(int(rng.integers(0, 4)))]
+    for v in shared:
+        for i in rng.choice(np.arange(1, n + 1), size=2, replace=False).tolist():
+            for x in ((0,), (1,), (0, 1))[int(rng.integers(3))]:
+                owned[(i, x)].append(v)
+    images = int(rng.integers(2, 4))
+    tables = {
+        i: {bits_key(x): int(rng.integers(images)) for x in input_vectors(n)}
+        for i in range(1, n + 1)
+    }
+    if rng.random() < 0.5:
+        dist = IIDDistribution(float(rng.uniform(0.2, 0.8)))
+    else:
+        weights = rng.random(2**n) * (rng.random(2**n) < 0.8)
+        weights[int(rng.integers(2**n))] += 0.1
+        weights /= weights.sum()
+        dist = JointDistribution({bits_key(x): float(w) for x, w in zip(input_vectors(n), weights)})
+    return GraphicGame(
+        graph=Graph([f"p{i}" for i in range(1, n + 1)] + shared),
+        n=n,
+        m=1,
+        assignments=AssignmentMap(owned),
+        distribution=dist,
+        payoff=TargetPayoff(TargetFunction(tables)),
     )
 
 

@@ -296,6 +296,14 @@ class TestGyni:
         assert float(report["brute_force_value"]) == 0.25
         assert float(report["quantum_probe"]) <= 0.25 + 1e-3
 
+    def test_reports_its_timings(self):
+        code, text = run("gyni", fixture_path("gyni3"))
+        report = report_dict(text)
+        assert code == 0
+        assert ggio.validate_report(text) == []
+        assert float(report["timing.classical_ms"]) >= 0.0
+        assert float(report["timing.probe_ms"]) >= 0.0
+
     def test_example2_is_injective(self):
         code, text = run("gyni", fixture_path("example2"))
         assert code == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from graphgame import (
     ClosedFormParams,
     DeterministicStrategy,
     GraphGameError,
+    IIDDistribution,
     MultiwaySharedVertexError,
     OptimizeOptions,
     PairBudgetError,
@@ -19,9 +21,11 @@ from graphgame import (
     deterministic_as_quantum,
     epr_correlator,
     exact_quantum_value,
+    gyni_classical_bound,
     optimize_quantum,
     pair_outcome_distribution,
     strategy_value,
+    target_classical_value,
     target_quantum_probe,
     trig_power_mean_holds,
     unbalanced_chsh_has_advantage,
@@ -33,6 +37,7 @@ from _oracles import (
     enumerated_quantum_value,
     random_game,
     random_quantum_strategy,
+    random_target_game,
     statevector_correlator,
     statevector_pair_probs,
     statevector_quantum_value,
@@ -417,3 +422,54 @@ class TestTargetProbe:
         )
         probe = target_quantum_probe(g, OptimizeOptions(restarts=4, seed=6))
         assert 0.5 - 1e-9 <= probe <= 0.5 + 1e-3
+
+    # Probe values at restarts=2 and the seed of the game, from the reference
+    # implementation that walked every outcome tuple in Python.  The games
+    # cover 1-3 pairs, iid and joint priors, and players that hold no pair.
+    PINNED = {
+        0: 0.4902809192385902,
+        1: 0.6926792971191198,
+        2: 0.39284510711924814,
+        4: 0.40292017504533045,
+        5: 0.6037772096584993,
+        6: 0.5882964651534219,
+        8: 0.28057015494760007,
+        9: 0.6983728621827553,
+        10: 0.5506610207777366,
+        14: 0.8544997430146207,
+        18: 0.49373168265467327,
+        24: 1.0,
+        28: 0.5187495131860843,
+        38: 0.5092486976115197,
+    }
+
+    # The same games under a uniform iid prior, where best responses tie;
+    # ties go to the lowest target image, and the other way these differ.
+    PINNED_UNIFORM = {18: 0.5, 27: 0.7500000000000002, 28: 0.3750000000000005, 45: 0.3750000000000002}
+
+    @staticmethod
+    def _random_probe(seed, uniform=False):
+        game = random_target_game(np.random.default_rng(seed))
+        if uniform:
+            game = dataclasses.replace(game, distribution=IIDDistribution(0.5))
+        return game, target_quantum_probe(game, OptimizeOptions(restarts=2, seed=seed))
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_random_games_match_pinned_values(self, seed):
+        game, probe = self._random_probe(seed)
+        assert build_pair_model(game, allow_multiway=True).pairs
+        assert probe == pytest.approx(self.PINNED[seed], abs=1e-12)
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_UNIFORM))
+    def test_ties_match_pinned_values(self, seed):
+        _, probe = self._random_probe(seed, uniform=True)
+        assert probe == pytest.approx(self.PINNED_UNIFORM[seed], abs=1e-12)
+
+    def test_random_games_stay_between_classical_bounds(self):
+        # The starting tables win on the best complementary pair of inputs and
+        # no step lowers the value; no outcome-driven strategy found on these
+        # games beats the classical optimum.
+        for seed in range(40):
+            game, probe = self._random_probe(seed)
+            low = gyni_classical_bound(game.distribution, game.n)
+            assert low - 1e-12 <= probe <= target_classical_value(game) + 1e-12
