@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gyni", help="target-mode analysis: injectivity, bounds, probe")
     p.add_argument("spec")
-    p.add_argument("--restarts", type=_positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=_positive_int, default=20, help="validated; the probe ignores it")
+    p.add_argument("--seed", type=int, default=0, help="validated; the probe ignores it")
     p.add_argument("--budget", type=_budget, default=DEFAULT_STRATEGY_BUDGET)
     p.set_defaults(func=cmd_gyni)
 

@@ -597,22 +597,22 @@ def trig_power_mean_holds(angles: Sequence[float]) -> bool:
 
 
 def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = None) -> float:
-    """Best found value of outcome-driven response strategies for a target game.
+    """Best found value of pair-assisted response strategies for a target game.
 
-    Players measure every pair half they hold and answer from (own input,
-    own outcomes) via response tables; tables are optimized by exact
-    per-cell best response and angles by exact coordinate steps, since with
-    the tables fixed the value is a sinusoid in each angle.  Every reported
-    number is the exact value of a concrete strategy, so for injective
-    targets it can never exceed the classical optimum.  Games without any
-    two-owner vertex degenerate to the classical response search.
-
-    Arrays run over the ``X`` weighted inputs and ``O = 4**pairs`` outcome
-    tuples: ``digit[o, k]`` is pair ``k``'s outcome (0..3 for ++, +-, -+, --;
-    first pair most significant), and ``view[i][o]`` packs player ``i``'s
-    outcome bits on the pairs it holds into a column of its ``2 x 2**held``
-    table ``tabs[i]`` of sorted-image indices.  ``probs(theta)`` is the
-    ``X x O`` matrix of input weight times outcome probability.
+    Players may measure the pair halves they hold and answer from their own
+    input and outcomes.  Each player's own outcomes are uniform and
+    independent of everything the others see (no-signalling), so while the
+    other players' answers ignore outcomes, every outcome column of a
+    player's table scores the same and an exact best response ignores them
+    too.  Starting from tables that ignore outcomes, the search therefore
+    never leaves them: it is the classical response search over tables
+    ``own input -> image``.  It starts right on the first best
+    complementary pair of inputs, lets the players best-respond in order
+    (ties go to the lowest image) and stops once a sweep gains less than
+    ``tolerance``, after at most ``max_sweeps``.  The value is exact for
+    the tables found, so it never exceeds the classical optimum.  Games
+    without any two-owner vertex get the exact classical response value.
+    ``restarts`` and ``seed`` are validated but have no effect.
     """
     if not isinstance(game.payoff, TargetPayoff):
         raise GraphGameError("target_quantum_probe requires a target-mode game")
@@ -628,69 +628,24 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
     weighted = weighted_inputs(game.distribution, game.n)
     xs, w = map(np.array, zip(*weighted))
     target = np.array([[images[i].index(tables[i + 1][bits_key(x)]) for i in players] for x, _ in weighted])
-    slots = sorted((i, v, x) for v, a, b in model.pairs for i in (a, b) for x in (0, 1))
-    ends = [  # per (input, pair): the two halves' angle slots
-        (slots.index((a, v, x[a - 1])), slots.index((b, v, x[b - 1])))
-        for x, _ in weighted
-        for v, a, b in model.pairs
-    ]
-    npairs = len(model.pairs)
-    digit = np.arange(4**npairs)[:, None] // 4 ** np.arange(npairs - 1, -1, -1) % 4
-    # keyed[i]: player i's starting table, right on the best complementary pair of inputs.
+    # tabs[i][b]: player i's image index at own input b, right on the best complementary pair.
     xstar = _best_complementary_pair(game.distribution, game.n)[0]
     pair_keys = (bits_key(xstar), bits_key([1 - b for b in xstar]))
-    view, cells, keyed = [], [], []
-    for i in players:
-        # Side a's outcome is -1 at digits 2 and 3, side b's at digits 1 and 3.
-        own = [digit[:, k] >> (i + 1 == a) & 1 for k, (_, a, b) in enumerate(model.pairs) if i + 1 in (a, b)]
-        view.append(sum((bit << j for j, bit in enumerate(own)), np.zeros(len(digit), np.intp)))
-        cells.append(2 ** len(own))
-        start = [images[i].index(tables[i + 1][key]) for key in pair_keys]
-        keyed.append(np.array([[start[b != xstar[i]]] * cells[i] for b in (0, 1)]))
+    tabs = [
+        np.array([images[i].index(tables[i + 1][pair_keys[b != xstar[i]]]) for b in (0, 1)]) for i in players
+    ]
 
-    def probs(theta) -> np.ndarray:
-        c = np.array([math.cos(theta[s] - theta[t]) for s, t in ends]).reshape(len(w), npairs, 1)
-        rows = np.concatenate([1.0 + c, 1.0 - c, 1.0 - c, 1.0 + c], axis=-1) * 0.25
-        out = np.ones((len(w), 1))
-        for k in range(npairs):
-            out = (out[:, :, None] * rows[:, k, None, :]).reshape(len(w), -1)
-        return out * w[:, None]
+    def hits() -> np.ndarray:
+        return np.array([tabs[i][xs[:, i]] == target[:, i] for i in players])
 
-    def hits(tabs) -> np.ndarray:
-        return np.array([tabs[i][xs[:, i, None], view[i]] == target[:, i, None] for i in players])
-
-    def value(won, theta) -> float:
-        return float(probs(theta)[won].sum())
-
-    def best_response(tabs, p) -> None:
-        # A player's cells score independently, so one bincount answers all of them.
+    now = float(w[hits().all(axis=0)].sum())
+    for _ in range(opts.max_sweeps):
+        current = now
         for i in players:
-            others = np.delete(hits(tabs), i, axis=0).all(axis=0)
-            index = (xs[:, i, None] * cells[i] + view[i]) * len(images[i]) + target[:, i, None]
-            score = np.bincount(index.ravel(), (p * others).ravel(), 2 * cells[i] * len(images[i]))
-            tabs[i] = score.reshape(2, cells[i], -1).argmax(axis=-1)
-
-    def sampled_sinusoid(won, theta, idx) -> tuple[float, float, float]:
-        # a*cos(t) + b*sin(t) + c through the values at t = 0, pi/2 and pi.
-        v0, v_half, v_pi = (
-            value(won, theta[:idx] + [t] + theta[idx + 1 :]) for t in (0.0, 0.5 * math.pi, math.pi)
-        )
-        c = 0.5 * (v0 + v_pi)
-        return 0.5 * (v0 - v_pi), v_half - c, c
-
-    best = 0.0
-    for restart in range(opts.restarts):
-        theta = _substream(opts.seed, restart).uniform(0.0, 2.0 * math.pi, size=len(slots)).tolist()
-        tabs = [t.copy() for t in keyed]
-        current = value(hits(tabs).all(axis=0), theta)
-        for _ in range(opts.max_sweeps):
-            best_response(tabs, probs(theta))
-            won = hits(tabs).all(axis=0)
-            now = value(won, theta)
-            for idx in range(len(theta)):
-                now = _exact_step(theta, idx, *sampled_sinusoid(won, theta, idx), now)
-            if now - current < opts.tolerance:
-                break
-            current = now
-        best = max(best, value(won, theta))
-    return best
+            others = np.delete(hits(), i, axis=0).all(axis=0)
+            score = np.bincount(xs[:, i] * len(images[i]) + target[:, i], w * others, 2 * len(images[i]))
+            tabs[i] = score.reshape(2, -1).argmax(axis=1)
+        now = float(w[hits().all(axis=0)].sum())
+        if now - current < opts.tolerance:
+            break
+    return now

@@ -151,8 +151,9 @@ def _prepare(game: GraphicGame, config: SessionConfig) -> _Session:
     else:
         raise StrategyMismatchError(f"unsupported strategy type {type(strategy).__name__}")
 
+    # Sorted, so a record lists its answers by (player, vertex) under any hash seed.
     slices: dict[tuple[int, int], dict] = {(i, b): {} for i in game.players for b in (0, 1)}
-    for (i, b, v), answer in answers.items():
+    for (i, b, v), answer in sorted(answers.items()):
         slices[(i, b)][v] = answer
     joint, input_draws = (), game.n
     if not isinstance(game.distribution, IIDDistribution):

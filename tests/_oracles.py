@@ -5,13 +5,15 @@ from the code under test: a dense 4-dimensional statevector simulation of
 one entangled pair and a whole-game statevector simulation of up to four,
 an enumeration of every measured-outcome tuple through the reference
 referee, a direct subset-enumeration of the sharing index, an ungrouped
-brute-force classical value, and tiny random-game and random-strategy
-generators for property tests.
+brute-force classical value, an exact-fraction response search for
+target games, and tiny random-game and random-strategy generators for
+property tests.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -303,6 +305,83 @@ def random_target_game(rng: np.random.Generator) -> GraphicGame:
         distribution=dist,
         payoff=TargetPayoff(TargetFunction(tables)),
     )
+
+
+def many_pairs_target_game() -> GraphicGame:
+    """Three players, a private vertex each and 16 two-owner vertices.
+
+    Shared vertex ``k`` goes, at both inputs, to the ``k``-th owner pair of
+    (1, 2), (2, 3), (1, 3), cycling.  Player ``i`` must name the OR of its
+    own input and the next player's.  The prior is iid with ``p = 0.3``, so
+    the search has to leave its complementary-pair start (0.37) to reach
+    the classical optimum (0.784).
+    """
+    owned = {(i, x): [f"p{i}"] for i in (1, 2, 3) for x in (0, 1)}
+    shared = [f"s{k:02d}" for k in range(16)]
+    for k, v in enumerate(shared):
+        for i in ((1, 2), (2, 3), (1, 3))[k % 3]:
+            owned[(i, 0)].append(v)
+            owned[(i, 1)].append(v)
+    tables = {i: {bits_key(x): x[i - 1] | x[i % 3] for x in input_vectors(3)} for i in (1, 2, 3)}
+    return GraphicGame(
+        graph=Graph(["p1", "p2", "p3"] + shared),
+        n=3,
+        m=1,
+        assignments=AssignmentMap(owned),
+        distribution=IIDDistribution(0.3),
+        payoff=TargetPayoff(TargetFunction(tables)),
+    )
+
+
+def response_search_value(game: GraphicGame, max_sweeps: int = 40, tolerance: float = 1e-12) -> float:
+    """Classical response search of a target game in exact arithmetic.
+
+    Each player answers from a table ``own input -> image``.  The tables
+    start right on the first input ``x`` that maximises ``P(x) + P(~x)``;
+    then the players best-respond in order, each taking at each own input
+    the image that wins the most weight with the others' tables fixed, the
+    lowest image on ties.  The search stops once a sweep gains less than
+    ``tolerance``, after at most ``max_sweeps``.  Weights are exact
+    fractions, so every tie is a true tie.
+    """
+    n = game.n
+    tables = game.payoff.targets.tables
+    dist = game.distribution
+
+    def weight(x) -> Fraction:
+        if isinstance(dist, JointDistribution):
+            return Fraction(dist.table.get(bits_key(x), 0.0))
+        p = Fraction(dist.p)
+        return math.prod((p if b == 0 else 1 - p for b in x), start=Fraction(1))
+
+    inputs = [(x, weight(x)) for x in product((0, 1), repeat=n)]
+    start = max(product((0, 1), repeat=n), key=lambda x: weight(x) + weight(tuple(1 - b for b in x)))
+    other = tuple(1 - b for b in start)
+    table = {
+        i: [tables[i][bits_key(start if b == start[i - 1] else other)] for b in (0, 1)]
+        for i in range(1, n + 1)
+    }
+
+    def won(x, skip=None) -> bool:
+        return all(table[j][x[j - 1]] == tables[j][bits_key(x)] for j in table if j != skip)
+
+    def value() -> Fraction:
+        return sum((w for x, w in inputs if won(x)), Fraction(0))
+
+    now = value()
+    for _ in range(max_sweeps):
+        current = now
+        for i in table:
+            for b in (0, 1):
+                score = {y: Fraction(0) for y in sorted(set(tables[i].values()))}
+                for x, w in inputs:
+                    if x[i - 1] == b and won(x, skip=i):
+                        score[tables[i][bits_key(x)]] += w
+                table[i][b] = max(score, key=score.get)
+        now = value()
+        if now - current < tolerance:
+            break
+    return float(now)
 
 
 def random_assignment(rng: np.random.Generator, game: GraphicGame, x) -> dict:

@@ -1,6 +1,7 @@
 import contextlib
 import io as stdio
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from graphgame import DeterministicStrategy, IIDDistribution, build_strategy, classical_value
 from graphgame import cli, games
 from graphgame import io as ggio
+
+from _oracles import many_pairs_target_game, response_search_value
 
 
 def fixture_path(name: str) -> str:
@@ -303,6 +306,18 @@ class TestGyni:
         assert ggio.validate_report(text) == []
         assert float(report["timing.classical_ms"]) >= 0.0
         assert float(report["timing.probe_ms"]) >= 0.0
+
+    def test_many_pairs_spec(self, tmp_path):
+        game = many_pairs_target_game()
+        spec = tmp_path / "many_pairs.game"
+        spec.write_text(ggio.serialize_game(game))
+        t0 = time.perf_counter()
+        code, text = run("gyni", str(spec))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        assert ggio.validate_report(text) == []
+        probe = float(report_dict(text)["quantum_probe"])
+        assert probe == pytest.approx(response_search_value(game), abs=1e-12)
 
     def test_example2_is_injective(self):
         code, text = run("gyni", fixture_path("example2"))

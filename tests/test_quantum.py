@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -35,9 +36,11 @@ from graphgame import games
 
 from _oracles import (
     enumerated_quantum_value,
+    many_pairs_target_game,
     random_game,
     random_quantum_strategy,
     random_target_game,
+    response_search_value,
     statevector_correlator,
     statevector_pair_probs,
     statevector_quantum_value,
@@ -473,3 +476,28 @@ class TestTargetProbe:
             game, probe = self._random_probe(seed)
             low = gyni_classical_bound(game.distribution, game.n)
             assert low - 1e-12 <= probe <= target_classical_value(game) + 1e-12
+
+    @pytest.mark.parametrize("uniform", [False, True], ids=["own-prior", "uniform"])
+    def test_matches_exact_response_search(self, uniform):
+        # The uniform prior makes best responses tie exactly; the oracle's
+        # fractions break each tie to the lowest image, and so must the probe.
+        checked = 0
+        for seed in range(150):
+            game = random_target_game(np.random.default_rng(seed))
+            if not build_pair_model(game, allow_multiway=True).pairs:
+                continue
+            if uniform:
+                game = dataclasses.replace(game, distribution=IIDDistribution(0.5))
+            assert target_quantum_probe(game) == pytest.approx(response_search_value(game), abs=1e-12), seed
+            checked += 1
+        assert checked > 100
+
+    def test_many_pairs_game_is_fast(self):
+        game = many_pairs_target_game()
+        assert len(build_pair_model(game, allow_multiway=True).pairs) == 16
+        t0 = time.perf_counter()
+        probe = target_quantum_probe(game)
+        assert time.perf_counter() - t0 < 1.0
+        assert probe == pytest.approx(response_search_value(game), abs=1e-12)
+        assert probe == pytest.approx(0.784, abs=1e-12)
+        assert probe > gyni_classical_bound(game.distribution, game.n) + 0.1

@@ -1,5 +1,8 @@
 import inspect
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -323,6 +326,40 @@ class TestReplay:
         g = games.chsh_game()
         cfg = SessionConfig(rounds=10, seed=15, strategy=classical_value(g)[1])
         assert replay_round(g, cfg, 3).outcomes == ()
+
+    @pytest.mark.parametrize(
+        "name",
+        [name for name, build in games.FIXTURES.items() if isinstance(build().payoff, ConsistencyPayoff)],
+    )
+    def test_records_list_answers_in_sorted_order(self, name):
+        # Owned vertices are frozensets, whose iteration order changes with
+        # the hash seed; a record must not.
+        g = games.FIXTURES[name]()
+        quantum = optimize_quantum(g, OptimizeOptions(restarts=1, allow_multiway=True)).strategy
+        for strategy in (classical_value(g)[1], quantum):
+            cfg = SessionConfig(rounds=8, seed=3, strategy=strategy)
+            for r in range(cfg.rounds):
+                values = replay_round(g, cfg, r).assignment.values
+                assert list(values) == sorted(values)
+
+    def test_records_print_alike_under_any_hash_seed(self):
+        script = (
+            "from graphgame import SessionConfig, classical_value, games, replay_round\n"
+            "g = games.chain_game()\n"
+            "cfg = SessionConfig(rounds=4, seed=3, strategy=classical_value(g)[1])\n"
+            "print([replay_round(g, cfg, r) for r in range(4)])\n"
+        )
+        printed = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(sys.path)},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for hash_seed in ("1", "2")
+        }
+        assert len(printed) == 1
 
     def test_index_bounds(self):
         g = games.chsh_game()
