@@ -44,6 +44,7 @@ from .model import (
     GraphGameError,
     GraphicGame,
     InputDistribution,
+    TargetFunction,
     TargetPayoff,
     bits_key,
     input_vectors,
@@ -408,13 +409,12 @@ def gyni_classical_bound(dist: InputDistribution, n: int) -> float:
     return _best_complementary_pair(dist, n)[1]
 
 
-def check_injective(targets, n: int) -> bool:
+def check_injective(targets: TargetFunction, n: int) -> bool:
     """True iff x -> (f_1(x), ..., f_n(x)) has pairwise distinct images."""
-    tables = targets.tables if hasattr(targets, "tables") else {int(i): dict(t) for i, t in targets.items()}
     seen = set()
     for x in input_vectors(n):
         key = bits_key(x)
-        image = tuple(tables[i][key] for i in range(1, n + 1))
+        image = tuple(targets.tables[i][key] for i in range(1, n + 1))
         if image in seen:
             return False
         seen.add(image)

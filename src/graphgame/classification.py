@@ -180,18 +180,16 @@ def classify(
     trivial = value is not None and abs(value - 1.0) <= _TRIVIAL_TOL
     defined = [idx for idx in structure.indices.values() if idx is not None]
     if defined and min(defined) > 2:
-        return Classification(NO_QUANTUM_ADVANTAGE, structure, classical_value_used=value)
-    if defined:  # min defined index is 2: advantage iff the game is not already won
-        if trivial:
-            return Classification(TRIVIAL, structure, classical_value_used=value)
-        if value is None:
-            return Classification(UNKNOWN, structure, classical_value_used=None)
-        return Classification(QUANTUM_ADVANTAGE, structure, classical_value_used=value)
-    if trivial:
-        return Classification(TRIVIAL, structure, classical_value_used=value)
-    if _structure_empty(game, structure):
-        return Classification(NO_SHARED_VERTICES, structure, classical_value_used=value)
-    return Classification(UNKNOWN, structure, classical_value_used=value)
+        verdict = NO_QUANTUM_ADVANTAGE
+    elif trivial:
+        verdict = TRIVIAL
+    elif defined:  # min defined index is 2: advantage iff the game is not already won
+        verdict = QUANTUM_ADVANTAGE if value is not None else UNKNOWN
+    elif _structure_empty(game, structure):
+        verdict = NO_SHARED_VERTICES
+    else:
+        verdict = UNKNOWN
+    return Classification(verdict, structure, classical_value_used=value)
 
 
 def independence_number(game: GraphicGame, budget: int = DEFAULT_PLAYER_BUDGET) -> int:

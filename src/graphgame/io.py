@@ -20,11 +20,13 @@ Strategy files are JSON too: {"kind": "deterministic", "signs": [...]} or
 
 Reports are plain text, one ``key: value`` per line, floats printed with 17
 significant digits.  The shipped ``report_schema.txt`` lists the allowed
-keys and value shapes; ``validate_report`` checks a report against it.
+keys and value shapes and the keys each kind of report must hold;
+``validate_report`` checks a report against it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -256,16 +258,29 @@ def serialize_strategy(strategy) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _strategy_entries(data: Mapping, field: str, keys: set[str], where: str) -> list:
+    """A strategy's ``field`` list, each entry checked like a spec's assignment entries."""
+    entries = data[field]
+    if not isinstance(entries, list):
+        raise StrategyFileError(f"{field} must be a list")
+    for entry in entries:
+        _require_keys(entry, keys, set(), where, StrategyFileError)
+        if not isinstance(entry["player"], int) or isinstance(entry["player"], bool):
+            raise StrategyFileError(f"{where} player must be an integer")
+        if entry["input"] not in (0, 1):
+            raise StrategyFileError(f"{where} input must be 0 or 1")
+        if not isinstance(entry["vertex"], str):
+            raise StrategyFileError(f"{where} vertex must be a string")
+    return entries
+
+
 def parse_strategy(text: str):
     data = _load_json(text, StrategyFileError)
     _require_keys(data, {"kind"}, {"signs", "angles", "wiring"}, "strategy", StrategyFileError)
     if data["kind"] == "deterministic":
         _require_keys(data, {"kind", "signs"}, set(), "deterministic strategy", StrategyFileError)
         signs = {}
-        for entry in data["signs"]:
-            _require_keys(
-                entry, {"player", "input", "vertex", "sign"}, set(), "sign entry", StrategyFileError
-            )
+        for entry in _strategy_entries(data, "signs", {"player", "input", "vertex", "sign"}, "sign entry"):
             if entry["sign"] not in (1, -1):
                 raise StrategyFileError("signs must be +1 or -1")
             signs[(entry["player"], entry["input"], entry["vertex"])] = entry["sign"]
@@ -273,26 +288,18 @@ def parse_strategy(text: str):
     if data["kind"] == "quantum":
         _require_keys(data, {"kind", "angles", "wiring"}, set(), "quantum strategy", StrategyFileError)
         angles = {}
-        for entry in data["angles"]:
-            _require_keys(
-                entry, {"player", "vertex", "input", "angle"}, set(), "angle entry", StrategyFileError
-            )
+        for entry in _strategy_entries(data, "angles", {"player", "vertex", "input", "angle"}, "angle entry"):
             key = (entry["player"], entry["vertex"], entry["input"])
             angles[key] = _number(entry["angle"], f"angle of {key}", StrategyFileError)
         wiring = {}
-        for entry in data["wiring"]:
-            _require_keys(
-                entry,
-                {"player", "input", "vertex", "sign", "refs"},
-                set(),
-                "wiring entry",
-                StrategyFileError,
-            )
+        wiring_keys = {"player", "input", "vertex", "sign", "refs"}
+        for entry in _strategy_entries(data, "wiring", wiring_keys, "wiring entry"):
             if entry["sign"] not in (1, -1):
                 raise StrategyFileError("wiring signs must be +1 or -1")
-            wiring[(entry["player"], entry["input"], entry["vertex"])] = OutputExpr(
-                entry["sign"], tuple(entry["refs"])
-            )
+            refs = entry["refs"]
+            if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
+                raise StrategyFileError("wiring refs must be a list of strings")
+            wiring[(entry["player"], entry["input"], entry["vertex"])] = OutputExpr(entry["sign"], tuple(refs))
         return QuantumStrategy(angles=angles, wiring=wiring)
     raise StrategyFileError(f"unknown strategy kind {data['kind']!r}")
 
@@ -310,27 +317,34 @@ def render_report(pairs: list[tuple[str, str]]) -> str:
     return "".join(f"{k}: {v}\n" for k, v in pairs)
 
 
-_SCHEMA_CACHE: list[tuple[re.Pattern, re.Pattern]] | None = None
-
-
-def _schema() -> list[tuple[re.Pattern, re.Pattern]]:
-    global _SCHEMA_CACHE
-    if _SCHEMA_CACHE is None:
-        rules = []
-        text = resources.files("graphgame").joinpath("report_schema.txt").read_text()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key_pat, value_pat = line.split(None, 1)
+@functools.cache
+def _schema() -> tuple[list[tuple[re.Pattern, re.Pattern]], list[tuple[str, tuple[str, ...]]]]:
+    """The schema's (key, value) patterns and its (report kind, required keys) rules."""
+    rules, required = [], []
+    text = resources.files("graphgame").joinpath("report_schema.txt").read_text()
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key_pat, value_pat = line.split(None, 1)
+        if key_pat == "require":
+            kind, keys = value_pat.split()
+            required.append((kind, tuple(keys.split("|"))))
+        else:
             rules.append((re.compile(rf"^{key_pat}$"), re.compile(rf"^{value_pat}$")))
-        _SCHEMA_CACHE = rules
-    return _SCHEMA_CACHE
+    return rules, required
 
 
 def validate_report(text: str) -> list[str]:
-    """Schema-check a report; returns a list of problems, empty when clean."""
+    """Schema-check a report; returns a list of problems, empty when clean.
+
+    Every line must match a key pattern and its value pattern, and the report
+    must hold the keys the schema requires of its kind: its ``status`` when
+    that is ``error`` or ``invalid``, else its ``command``.
+    """
+    rules, required = _schema()
     problems = []
+    report = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -338,11 +352,17 @@ def validate_report(text: str) -> list[str]:
             problems.append(f"line {lineno}: not a 'key: value' pair")
             continue
         key, value = line.split(": ", 1)
-        for key_pat, value_pat in _schema():
+        report[key] = value
+        for key_pat, value_pat in rules:
             if key_pat.match(key):
                 if not value_pat.match(value):
                     problems.append(f"line {lineno}: value {value!r} invalid for key {key!r}")
                 break
         else:
             problems.append(f"line {lineno}: unknown report key {key!r}")
+    status = report.get("status")
+    kind = status if status in ("error", "invalid") else report.get("command")
+    for when, keys in required:
+        if when in ("*", kind) and not any(k in report for k in keys):
+            problems.append(f"missing key {' or '.join(map(repr, keys))}")
     return problems

@@ -99,6 +99,20 @@ class TestValidate:
         assert "line" in report_dict(text)["error"]
 
 
+class TestPipeline:
+    @pytest.mark.parametrize("command", ["validate", "classify", "value", "simulate", "gyni"])
+    def test_missing_spec_exits_3(self, command, tmp_path):
+        argv = [command, str(tmp_path / "absent.game")]
+        argv += ["--strategy", str(tmp_path / "absent.strategy")] if command == "simulate" else []
+        code, text = run(*argv)
+        report = report_dict(text)
+        assert code == 3
+        assert ggio.validate_report(text) == []
+        assert report["status"] == "error"
+        assert report["error"] == f"no such file: {argv[1]}"
+        assert "game_digest" not in report
+
+
 class TestClassify:
     def test_star3(self):
         code, text = run("classify", fixture_path("star3"))
@@ -186,6 +200,14 @@ class TestValue:
         assert report["advantage_observed"] == "true"
         assert float(report["omega_q_lower"]) > float(report["omega_c"])
 
+    def test_target_game_exits_6(self):
+        code, text = run("value", fixture_path("gyni3"), "--quantum")
+        report = report_dict(text)
+        assert code == 6
+        assert ggio.validate_report(text) == []
+        assert list(report) == ["command", "spec", "game_digest", "status", "error"]
+        assert report["error"] == "value requires a consistency-mode game (see the gyni command)"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -269,6 +291,27 @@ class TestSimulate:
         assert code == 5
         assert ggio.validate_report(text) == []
         assert "timing.simulate_ms" not in report_dict(text)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("signs", 5), ("angles", None), ("refs", 5), ("player", [1]), ("vertex", ["v"])],
+    )
+    def test_malformed_strategy_file_exits_5(self, field, value, tmp_path):
+        if field == "signs":
+            doc = {"kind": "deterministic", "signs": value}
+        else:
+            strategy, _ = build_strategy(games.chsh_game())
+            doc = json.loads(ggio.serialize_strategy(strategy))
+            if field in doc:
+                doc[field] = value
+            else:
+                doc["wiring"][0][field] = value
+        strategy_file = tmp_path / "malformed.strategy"
+        strategy_file.write_text(json.dumps(doc))
+        code, text = run("simulate", fixture_path("chsh"), "--strategy", str(strategy_file))
+        assert code == 5
+        assert ggio.validate_report(text) == []
+        assert report_dict(text)["error"].startswith("bad strategy file: ")
 
     def test_missing_strategy_exits_5(self):
         code, _ = run("simulate", fixture_path("chsh"), "--strategy", "/no/such/file")

@@ -146,6 +146,28 @@ class TestReportSchema:
     def test_rejects_bad_value(self):
         assert io.validate_report("verdict: Maybe\n")
 
+    def test_rejects_empty_report(self):
+        assert io.validate_report("") == ["missing key 'command'", "missing key 'spec'"]
+
+    def test_rejects_truncated_gyni_report(self):
+        problems = io.validate_report("command: gyni\n")
+        assert problems == ["missing key 'spec'", "missing key 'quantum_probe'"]
+
+    @pytest.mark.parametrize(
+        "status, lines, missing",
+        [
+            ("error", [], "'error'"),
+            ("invalid", [], "'violations'"),
+            ("ok", [], "'omega_c' or 'omega_q_lower'"),
+            ("error", [("error", "over budget")], None),
+            ("invalid", [("violations", "1")], None),
+        ],
+    )
+    def test_required_keys_follow_the_status(self, status, lines, missing):
+        pairs = [("command", "value"), ("spec", "x.game"), ("status", status), *lines]
+        problems = io.validate_report(io.render_report(pairs))
+        assert problems == ([f"missing key {missing}"] if missing else [])
+
     def test_float_formatting_is_precise(self):
         x = 0.8535533905932737
         assert float(io.fmt_float(x)) == x
