@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as _iter_product
 from typing import Mapping
 
 import numpy as np
@@ -427,27 +426,53 @@ def target_value_from_tables(
     n: int,
     budget: int = DEFAULT_STRATEGY_BUDGET,
 ) -> float:
-    """Exact optimum over per-player response tables y_i: own bit -> value."""
-    values_per_player = [sorted(set(tables[i].values())) for i in range(1, n + 1)]
-    space = 1
-    for vals in values_per_player:
-        space *= len(vals) ** 2
+    """Exact optimum over per-player response tables y_i: own bit -> value.
+
+    Player i's tables are the pairs ``(y_i(0), y_i(1))`` over its ``k_i``
+    images, code ``a * k_i + b`` for the pair of images ``a`` and ``b``.
+    Every joint table is scored at once on the grid of all players' codes
+    (player 1's on the first axis), in blocks of player 1's codes that hold
+    at most ``_BLOCK_ENTRIES`` (input, grid point) entries, or one code when
+    its slice is larger.  Each grid point adds its winning input weights in
+    input order, as a walk over the tables would, so the maximum is that
+    walk's float.
+    Raises StrategySpaceError when ``prod(k_i**2)`` exceeds ``budget``.
+    """
+    images = [sorted(set(tables[i].values())) for i in range(1, n + 1)]
+    grid = tuple(len(vals) ** 2 for vals in images)
+    space = math.prod(grid)
     if space > budget:
         raise StrategySpaceError(space, budget)
 
     weighted = weighted_inputs(dist, n)
+    if not weighted:
+        return 0.0
+    xs, w = zip(*weighted)
+    keys = [bits_key(x) for x in xs]
+    own = np.array(xs, dtype=np.intp)
+    # right[i][x, ..., code, ...]: player i's table ``code`` answers input x
+    # with its target, laid along player i's grid axis.
+    right = []
+    for i, vals in enumerate(images):
+        k = len(vals)
+        position = {v: j for j, v in enumerate(vals)}
+        target = np.array([position[tables[i + 1][key]] for key in keys], dtype=np.intp)
+        answer = np.array(np.divmod(np.arange(k * k), k))  # the image at own input 0, at 1
+        dims = [len(keys)] + [1] * n
+        dims[i + 1] = k * k
+        right.append((answer[own[:, i]] == target[:, None]).reshape(dims))
+    w = np.reshape(w, [len(keys)] + [1] * n)
+
+    rows = grid[0]
+    block = max(1, min(rows, _BLOCK_ENTRIES // (len(keys) * (space // rows))))
     best = 0.0
-    response_spaces = [
-        list(_iter_product(vals, repeat=2)) for vals in values_per_player
-    ]
-    for responses in _iter_product(*response_spaces):
-        total = 0.0
-        for x, w in weighted:
-            key = bits_key(x)
-            if all(responses[i - 1][x[i - 1]] == tables[i][key] for i in range(1, n + 1)):
-                total += w
-        if total > best:
-            best = total
+    for start in range(0, rows, block):
+        hits = reduce(np.logical_and, right[1:], right[0][:, start : start + block])
+        # A running sum over the input axis adds each grid point's winning
+        # weights one input at a time, in input order.
+        won = np.where(hits, w, 0.0)
+        np.cumsum(won, axis=0, out=won)
+        best = max(best, float(won[-1].max()))
     return best
 
 

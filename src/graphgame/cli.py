@@ -10,17 +10,20 @@ Commands: validate, classify, value, simulate, gyni.  Each prints a plain
     5  strategy file missing, malformed or incompatible with the game
     6  command requires the other payoff mode
 
-`main` is the one request pipeline.  After the report's ``command`` and
-``spec`` lines it runs, in order:
+`main` is the one request pipeline.  It runs, in order:
 
-1. parse the spec (exit 3) and print its ``game_digest``;
-2. validate it, refusing an invalid spec with the ``validate`` report lines
+1. parse the command line (usage errors exit 2 before any report) with the
+   process's one parser, built by the first ``main`` call and reused by
+   every later one (``parse_args`` leaves it unchanged), then print the
+   report's ``command`` and ``spec`` lines;
+2. parse the spec (exit 3) and print its ``game_digest``;
+3. validate it, refusing an invalid spec with the ``validate`` report lines
    (exit 2);
-3. refuse a game of the wrong payoff mode (exit 6); each subcommand names
+4. refuse a game of the wrong payoff mode (exit 6); each subcommand names
    its mode and message in its parser defaults (``requires``);
-4. run the command body, ``cmd_<name>(args, game, pairs)``, which appends
+5. run the command body, ``cmd_<name>(args, game, pairs)``, which appends
    its result lines and returns its exit code;
-5. turn a ``StrategySpaceError`` or ``PairBudgetError`` into ``status:
+6. turn a ``StrategySpaceError`` or ``PairBudgetError`` into ``status:
    error`` with the space size and budget (exit 4), after whatever lines the
    body had appended.  ``classify`` reports an exhausted budget softly, as
    verdict ``Unknown``.
@@ -39,6 +42,7 @@ The package needs NumPy 2.0 or later.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -242,9 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reuses, built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one request through the pipeline above; print its report, return its exit code."""
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     pairs = [("command", args.cmd), ("spec", str(args.spec))]
     try:
         game = io.parse_game_file(args.spec)

@@ -381,21 +381,29 @@ class _Evaluator:
                 touching[sa].setdefault(sb, []).append((c, rest))
                 touching[sb].setdefault(sa, []).append((c, rest))
         self.touching = [list(t.items()) for t in touching]
+        # Per slot: the correlators that hold it.
+        self.holding: list[list[int]] = [[] for _ in self.slots]
+        for k, pair in enumerate(self.correlators):
+            for slot in pair:
+                self.holding[slot].append(k)
 
-    def _cosines(self, theta: Sequence[float]) -> list[float]:
+    def cosines(self, theta: Sequence[float]) -> list[float]:
         return [math.cos(theta[a] - theta[b]) for a, b in self.correlators]
 
-    def value(self, theta: Sequence[float]) -> float:
-        corr = self._cosines(theta)
+    def total(self, corr: Sequence[float]) -> float:
+        """The value at correlator cosines ``corr``."""
         return math.fsum(c * math.prod([corr[k] for k in key]) for c, key in self.terms)
 
-    def sinusoid(self, theta: Sequence[float], slot: int, value: float) -> tuple[float, float, float]:
+    def value(self, theta: Sequence[float]) -> float:
+        return self.total(self.cosines(theta))
+
+    def sinusoid(self, angles: "_Angles", slot: int, value: float) -> tuple[float, float, float]:
         """``(a, b, c)`` with ``value(theta with slot at t) == a*cos(t) + b*sin(t) + c``.
 
-        ``value`` must be ``value(theta)``; only the terms holding the slot
-        are visited, and ``c`` is ``value`` minus their current sum.
+        ``value`` must be ``value(angles.theta)``; only the terms holding the
+        slot are visited, and ``c`` is ``value`` minus their current sum.
         """
-        corr = self._cosines(theta)
+        corr = angles.corr
         a = b = 0.0
         for partner, terms in self.touching[slot]:
             r = 0.0
@@ -403,10 +411,33 @@ class _Evaluator:
                 for k in rest:
                     c *= corr[k]
                 r += c
-            a += r * math.cos(theta[partner])
-            b += r * math.sin(theta[partner])
-        t = theta[slot]
-        return a, b, value - (a * math.cos(t) + b * math.sin(t))
+            a += r * angles.cos[partner]
+            b += r * angles.sin[partner]
+        return a, b, value - (a * angles.cos[slot] + b * angles.sin[slot])
+
+
+class _Angles:
+    """One ascent's angles with their cosines, sines and correlator cosines.
+
+    ``move`` sets one angle and refreshes only what holds it, so every
+    cached number stays the float a full recomputation would give.
+    """
+
+    def __init__(self, ev: _Evaluator, theta: list[float]):
+        self.ev = ev
+        self.theta = theta
+        self.cos = [math.cos(t) for t in theta]
+        self.sin = [math.sin(t) for t in theta]
+        self.corr = ev.cosines(theta)
+
+    def move(self, slot: int, t: float) -> None:
+        theta = self.theta
+        theta[slot] = t
+        self.cos[slot] = math.cos(t)
+        self.sin[slot] = math.sin(t)
+        for k in self.ev.holding[slot]:
+            a, b = self.ev.correlators[k]
+            self.corr[k] = math.cos(theta[a] - theta[b])
 
 
 def exact_quantum_value(
@@ -452,8 +483,8 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (c, yc) if yc > yd else (d, yd)
 
 
-def _exact_step(theta: list[float], idx: int, a: float, b: float, c: float, current: float) -> float:
-    """Move ``theta[idx]`` to the maximum of ``a*cos(t) + b*sin(t) + c``.
+def _exact_step(angles: _Angles, idx: int, a: float, b: float, c: float, current: float) -> float:
+    """Move angle ``idx`` to the maximum of ``a*cos(t) + b*sin(t) + c``.
 
     That sinusoid is the value along the angle with every other angle
     fixed; its maximum ``c + hypot(a, b)`` sits at ``atan2(b, a)``.  The
@@ -462,7 +493,7 @@ def _exact_step(theta: list[float], idx: int, a: float, b: float, c: float, curr
     """
     peak = c + math.hypot(a, b)
     if peak > current:
-        theta[idx] = math.atan2(b, a) % (2.0 * math.pi)
+        angles.move(idx, math.atan2(b, a) % (2.0 * math.pi))
         return peak
     return current
 
@@ -478,16 +509,17 @@ def _check_options(opts: OptimizeOptions) -> None:
 
 def _ascend(ev: _Evaluator, theta: list[float], opts: OptimizeOptions) -> tuple[float, bool]:
     """Cyclic exact coordinate ascent; returns the exact value at the final angles."""
-    value = ev.value(theta)
+    angles = _Angles(ev, theta)
+    value = ev.total(angles.corr)
     if not theta:
         return value, True
     for _ in range(opts.max_sweeps):
         before = value
         for idx in range(len(theta)):
-            value = _exact_step(theta, idx, *ev.sinusoid(theta, idx, value), value)
+            value = _exact_step(angles, idx, *ev.sinusoid(angles, idx, value), value)
         if value - before < opts.tolerance:
-            return ev.value(theta), True
-    return ev.value(theta), False
+            return ev.total(angles.corr), True
+    return ev.total(angles.corr), False
 
 
 def optimize_quantum(game: GraphicGame, options: OptimizeOptions | None = None) -> QuantumValueResult:

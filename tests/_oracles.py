@@ -5,9 +5,9 @@ from the code under test: a dense 4-dimensional statevector simulation of
 one entangled pair and a whole-game statevector simulation of up to four,
 an enumeration of every measured-outcome tuple through the reference
 referee, a direct subset-enumeration of the sharing index, an ungrouped
-brute-force classical value, an exact-fraction response search for
-target games, and tiny random-game and random-strategy generators for
-property tests.
+brute-force classical value, an exact-fraction response search and a
+table-by-table exhaustive value for target games, and tiny random-game and
+random-strategy generators for property tests.
 """
 
 from __future__ import annotations
@@ -382,6 +382,47 @@ def response_search_value(game: GraphicGame, max_sweeps: int = 40, tolerance: fl
         if now - current < tolerance:
             break
     return float(now)
+
+
+def exhaustive_target_value(tables, dist, n: int) -> float:
+    """Exact optimum over response tables ``own bit -> image``, one table at a time.
+
+    Every joint choice of tables, in product order, adds the weights of the
+    inputs it wins in input order; the best total (or 0.0) is returned.
+    """
+    images = [sorted(set(tables[i].values())) for i in range(1, n + 1)]
+    weighted = [(x, w) for x in input_vectors(n) if (w := input_weight(dist, x)) != 0.0]
+    best = 0.0
+    for responses in product(*(list(product(vals, repeat=2)) for vals in images)):
+        total = 0.0
+        for x, w in weighted:
+            key = bits_key(x)
+            if all(responses[i - 1][x[i - 1]] == tables[i][key] for i in range(1, n + 1)):
+                total += w
+        if total > best:
+            best = total
+    return best
+
+
+def random_target_tables(rng: np.random.Generator, n: int):
+    """Target tables of n players with 1-3 images each, and a prior.
+
+    The prior is iid or a joint table that leaves some strings absent and
+    lists others at weight zero.
+    """
+    tables = {}
+    for i in range(1, n + 1):
+        images = rng.choice(7, size=int(rng.integers(1, 4)), replace=False).tolist()
+        tables[i] = {bits_key(x): images[int(rng.integers(len(images)))] for x in input_vectors(n)}
+    if rng.random() < 0.5:
+        return tables, IIDDistribution(float(rng.choice((0.5, rng.uniform(0.05, 0.95)))))
+    weights = rng.random(2**n)
+    kind = rng.integers(3, size=2**n)  # 0: absent, 1: listed at zero, 2: weighted
+    kind[int(rng.integers(2**n))] = 2
+    weights[kind < 2] = 0.0
+    weights /= weights.sum()
+    table = {bits_key(x): float(w) for x, w, k in zip(input_vectors(n), weights, kind) if k}
+    return tables, JointDistribution(table)
 
 
 def random_assignment(rng: np.random.Generator, game: GraphicGame, x) -> dict:

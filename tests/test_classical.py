@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +31,14 @@ from graphgame.classical import (
     _responder,
 )
 
-from _oracles import brute_force_classical_value, brute_force_scores, random_game, sign_slots
+from _oracles import (
+    brute_force_classical_value,
+    brute_force_scores,
+    exhaustive_target_value,
+    random_game,
+    random_target_tables,
+    sign_slots,
+)
 
 
 def _tie_cases():
@@ -325,5 +333,33 @@ class TestTargetValues:
         assert brute > gyni_classical_bound(g.distribution, 3)
 
     def test_budget(self):
-        with pytest.raises(StrategySpaceError):
+        with pytest.raises(StrategySpaceError) as caught:
             target_classical_value(games.example2_game(), budget=8)
+        assert (caught.value.space_size, caught.value.budget) == (9**3, 8)
+
+    @staticmethod
+    def _target_cases():
+        cases = [
+            (g.payoff.targets.tables, g.distribution, g.n)
+            for g in (games.gyni_game(), games.example2_game(), games.constant_target_game())
+        ]
+        # Only player 1's last table (image 1 at both inputs) wins everything:
+        # its image 0 sits on an absent string.
+        last = {1: {"00": 1, "01": 1, "10": 1, "11": 0}, 2: {"00": 0, "01": 1, "10": 0, "11": 1}}
+        cases.append((last, JointDistribution({"00": 0.5, "01": 0.2, "10": 0.3}), 2))
+        rng = np.random.default_rng(61)
+        for n in (2, 3, 4, 5) * 12:
+            tables, dist = random_target_tables(rng, n)
+            # The reference loop visits every joint table: keep it quick.
+            if math.prod(len(set(t.values())) ** 2 for t in tables.values()) <= 9**4:
+                cases.append((tables, dist, n))
+        return cases
+
+    @pytest.mark.parametrize("block_entries", [None, 1], ids=["whole", "one-row-blocks"])
+    def test_matches_exhaustive_loop(self, block_entries, monkeypatch):
+        if block_entries is not None:
+            monkeypatch.setattr(classical, "_BLOCK_ENTRIES", block_entries)
+        cases = self._target_cases()
+        assert {n for _, _, n in cases} == {2, 3, 4, 5}
+        for tables, dist, n in cases:
+            assert target_value_from_tables(tables, dist, n) == exhaustive_target_value(tables, dist, n)

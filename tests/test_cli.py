@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io as stdio
 import json
@@ -111,6 +112,44 @@ class TestPipeline:
         assert report["status"] == "error"
         assert report["error"] == f"no such file: {argv[1]}"
         assert "game_digest" not in report
+
+
+def untimed(text: str) -> list[str]:
+    return [line for line in text.splitlines() if not line.startswith("timing.")]
+
+
+class TestSharedParser:
+    def test_main_calls_reuse_one_parser(self, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        run("validate", fixture_path("chsh"))
+        run("classify", fixture_path("star3"))
+        assert len(parsers) == 2
+        assert parsers[0] is parsers[1]
+
+    def test_options_do_not_leak_into_the_next_request(self):
+        code, text = run("value", fixture_path("chsh"), "--quantum", "--restarts", "3")
+        assert (code, report_dict(text)["restarts_used"]) == (0, "3")
+        code, text = run("value", fixture_path("chsh"), "--quantum")
+        assert (code, report_dict(text)["restarts_used"]) == (0, "20")
+
+    def test_usage_error_leaves_the_parser_usable(self):
+        argv = ["value", fixture_path("chsh"), "--classical", "--quantum", "--restarts", "2"]
+        cli._shared_parser.cache_clear()
+        code, first = run(*argv)  # the process's first request builds the parser
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["value", fixture_path("chsh"), "--quantum", "--restarts", "0"])
+        assert exc.value.code == 2
+        code, text = run(*argv)
+        assert code == 0
+        assert untimed(text) == untimed(first)
 
 
 class TestClassify:

@@ -31,7 +31,7 @@ from graphgame import (
     trig_power_mean_holds,
     unbalanced_chsh_has_advantage,
 )
-from graphgame.quantum import OutputExpr, StrategyError, _Evaluator, validate_strategy
+from graphgame.quantum import OutputExpr, StrategyError, _Angles, _Evaluator, validate_strategy
 from graphgame import games
 
 from _oracles import (
@@ -238,13 +238,21 @@ class TestOneAngleIdentity:
         value = ev.value(theta)
         assert value == exact_quantum_value(game, strategy.with_angles(base))
 
+        # Walk the angles as the ascent does: each slot's sinusoid is read
+        # from the cached cosines, then the slot moves and only the
+        # correlators holding it are refreshed.
+        angles = _Angles(ev, theta)
         for slot in range(len(theta)):
-            a, b, c = ev.sinusoid(theta, slot, value)
+            a, b, c = ev.sinusoid(angles, slot, value)
             for t in rng.uniform(0.0, 2.0 * math.pi, size=4):
                 moved = theta[:slot] + [float(t)] + theta[slot + 1:]
                 assert ev.value(moved) == pytest.approx(
                     a * math.cos(t) + b * math.sin(t) + c, abs=1e-12
                 )
+            angles.move(slot, float(rng.uniform(0.0, 2.0 * math.pi)))
+            assert angles.corr == ev.cosines(theta)
+            assert (angles.cos, angles.sin) == ([math.cos(t) for t in theta], [math.sin(t) for t in theta])
+            value = ev.total(angles.corr)
 
 
 class TestOptimizer:
