@@ -8,21 +8,34 @@ rest are pinned to +1, which preserves the optimum exactly.  Two further
 exact reductions apply: for a low-block player a group that lies in no
 constrained region is dropped outright, and for a high-block player such a
 group merely absorbs the total-product condition (the witness sets its
-representative to whatever sign restores the product to +1).
+representative to whatever sign restores the product to +1).  Player j's
+grouped codes number ``c_j = 2^(g_j0 + g_j1)``, for ``g_jx`` groups at input
+x.
 
 The win factors come from ``model.referee_checks``: each side of a check
 becomes a mask over its player's group bits, and a check with a side that
 holds an absorbing group is vacuous.  The search itself never restates the
 referee's conditions.
 
+The referee reads player i's input-x pattern only through its parities on
+the masks of the non-vacuous sides at inputs of nonzero weight, so two
+patterns with the same parities score the same everywhere.  The search
+walks one class of such patterns per code, ``2^k_ix`` classes for a mask
+span of rank ``k_ix``, and each class stands for its lowest pattern (see
+``_pivots``).  Classes are numbered in the order of those patterns, so the
+lowest maximiser over classes is, pattern by pattern, the lowest maximiser
+over grouped codes.  Where the masks have full rank (stars, chain4, the
+shared games) the classes are the patterns; cube3's players keep 3 of their
+4 bits at each input, 2^18 points for the 2^24 grouped ones.
+
 The search then eliminates one responder player exactly.  Its code is a
-pair (input-0 pattern, input-1 pattern), and with every other player's code
-fixed, inputs where the responder sees 0 depend only on the first pattern and
-inputs where it sees 1 only on the second.  So its best response is the best
-input-0 pattern plus the best input-1 pattern, and the walk covers
-``prod_{j != r} c_j * (2^g_r0 + 2^g_r1)`` points instead of ``prod_j c_j``.
-The witness is still the lowest-index maximiser of the full reduced
-enumeration, and the budget still counts ``prod_j c_j``.
+pair (input-0 class, input-1 class), and with every other player's code
+fixed, inputs where the responder sees 0 depend only on the first class and
+inputs where it sees 1 only on the second.  So its best response is the
+best input-0 class plus the best input-1 class, and the walk covers
+``prod_{j != r} 2^(k_j0 + k_j1) * (2^k_r0 + 2^k_r1)`` points.  The budget,
+``StrategySpaceError.space_size`` and the witness's ``index`` still refer to
+the grouped enumeration of ``prod_j c_j`` points.
 
 The module also carries the closed-form values used to cross-check the
 search on star-shaped and fully-shared games, the complementary-pair bound
@@ -33,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import Mapping
 
 import numpy as np
@@ -74,7 +87,7 @@ class StrategySpaceError(GraphGameError):
 class DeterministicStrategy:
     """A full deterministic answer plan: a sign per (player, input, vertex).
 
-    ``index`` is the strategy's position in the reduced enumeration order,
+    ``index`` is the strategy's position in the grouped enumeration order,
     kept so that tie-breaks and replays are reproducible.
     """
 
@@ -134,19 +147,18 @@ def _build_enumeration(game: GraphicGame) -> _Enumeration:
     group_bits: dict[tuple[int, int], int] = {}
     groups: dict[tuple[int, int], list[tuple[str, ...]]] = {}
     free_groups: dict[tuple[int, int], tuple[str, ...]] = {}
+    # Every (player, input) set that holds each vertex.
+    holders: dict[str, set[tuple[int, int]]] = {}
+    for key, verts in game.assignments.owned.items():
+        for v in verts:
+            holders.setdefault(v, set()).add(key)
 
     for i in range(1, n + 1):
-        if i <= m:
-            relevant = [j for j in range(m + 1, n + 1)]
-        else:
-            relevant = [j for j in range(1, n + 1) if j != i]
+        relevant = {(j, xj) for j in range(1 if i > m else m + 1, n + 1) if j != i for xj in (0, 1)}
         for x in (0, 1):
             sigs: dict[frozenset[tuple[int, int]], list[str]] = {}
             for v in sorted(game.owned(i, x)):
-                sig = frozenset(
-                    (j, xj) for j in relevant for xj in (0, 1) if v in game.owned(j, xj)
-                )
-                sigs.setdefault(sig, []).append(v)
+                sigs.setdefault(frozenset(holders[v] & relevant), []).append(v)
             free = sigs.pop(frozenset(), None)
             if free and i > m:
                 # One sign free of every region: it can always restore the
@@ -165,32 +177,117 @@ def _build_enumeration(game: GraphicGame) -> _Enumeration:
     )
 
 
-def _patterns_for(enum: _Enumeration, i: int, x: int) -> np.ndarray:
-    """Per-choice bit pattern of player i at input x, over all joint choices."""
-    codes = np.arange(enum.choices[i - 1], dtype=np.uint64)
-    g0 = enum.group_bits[(i, 0)]
-    g1 = enum.group_bits[(i, 1)]
-    if x == 0:
-        return (codes >> np.uint64(g1)) & np.uint64((1 << g0) - 1)
-    return codes & np.uint64((1 << g1) - 1)
-
-
 def _parity_sign(patterns: np.ndarray, mask: int) -> np.ndarray:
     ones = np.bitwise_count(patterns & np.uint64(mask)).astype(np.int8)
     return (1 - 2 * (ones & 1)).astype(np.int8)
 
 
-def _responder(enum: _Enumeration) -> int:
+def _pivots(masks) -> list[int]:
+    """Pivot bits of the span of ``masks``, lowest first.
+
+    Each mask is eliminated on its lowest set bit.  The referee tells two
+    patterns apart only through their parities on the masks, so patterns
+    that differ by a pattern orthogonal to the span fall in one class.
+    Every nonzero pattern orthogonal to the span has its highest set bit
+    off the pivots, so each class holds exactly one pattern over the pivot
+    bits alone, and that pattern is the class's lowest.  Numbering each
+    class by its lowest pattern's pivot bits, packed (see ``_pack``),
+    orders the classes as their lowest patterns.
+    """
+    basis: dict[int, int] = {}  # lowest set bit -> reduced mask
+    for mask in masks:
+        for low in sorted(basis):
+            if mask & low:
+                mask ^= basis[low]
+        if mask:
+            basis[mask & -mask] = mask
+    return sorted(basis)
+
+
+def _pack(pattern: int, pivots: list[int]) -> int:
+    """The bits of ``pattern`` on the pivots, packed in the pivots' order."""
+    code = 0
+    for k, low in enumerate(pivots):
+        if pattern & low:
+            code |= 1 << k
+    return code
+
+
+def _unpack(code: int, pivots: list[int]) -> int:
+    """The pattern over the pivots whose packed bits are ``code``."""
+    return sum(low for k, low in enumerate(pivots) if code >> k & 1)
+
+
+@dataclass(frozen=True)
+class _Quotient:
+    """The referee's checks over the classes of patterns it can tell apart.
+
+    ``pivots[(i, x)]`` holds the pivot bits of player i's input-x patterns
+    (see ``_pivots``), and that (player, input) has ``2^bits[(i, x)]``
+    classes, so player i has ``classes[i - 1]`` codes ``class0 << bits1 |
+    class1``.  ``inputs`` holds each weighted input vector with its weight
+    and the keys of its non-vacuous checks.  A check is fixed by the players
+    of its first and last side and their inputs, so ``checks[key]`` is
+    shared by every input that has it: its sides as (player, input, mask
+    over the class bits) and its parity.
+    """
+
+    pivots: dict[tuple[int, int], list[int]]
+    bits: dict[tuple[int, int], int]
+    classes: tuple[int, ...]
+    inputs: list[tuple[float, tuple[int, ...], list[tuple[int, int, int, int]]]]
+    checks: dict[tuple[int, int, int, int], tuple[list[tuple[int, int, int]], int]]
+
+
+def _quotient(game: GraphicGame, enum: _Enumeration) -> _Quotient:
+    """One pass over the weighted inputs: their checks, and the masks they read.
+
+    ``referee_checks`` runs once per input and ``side_mask`` once per check
+    key.  A check with an absorbing side is vacuous and reads nothing.
+    """
+    checks: dict[tuple[int, int, int, int], tuple[list[tuple[int, int, int]], int]] = {}
+    vacuous = set()
+    masks: dict[tuple[int, int], list[int]] = {key: [] for key in enum.group_bits}
+    inputs = []
+    for x, w in weighted_inputs(game.distribution, game.n):
+        keys = []
+        for sides, parity in referee_checks(game, x):
+            (i, _), (j, _) = sides[0], sides[-1]
+            key = (i, x[i - 1], j, x[j - 1])
+            if key in vacuous:
+                continue
+            if key not in checks:
+                read = [(i, x[i - 1], enum.side_mask(i, x[i - 1], verts)) for i, verts in sides]
+                if any(mask is None for _, _, mask in read):
+                    vacuous.add(key)
+                    continue
+                checks[key] = (read, parity)
+                for i, xi, mask in read:
+                    masks[(i, xi)].append(mask)
+            keys.append(key)
+        inputs.append((w, x, keys))
+    pivots = {key: _pivots(ms) for key, ms in masks.items()}
+    checks = {
+        key: ([(i, xi, _pack(mask, pivots[(i, xi)])) for i, xi, mask in read], parity)
+        for key, (read, parity) in checks.items()
+    }
+    bits = {key: len(p) for key, p in pivots.items()}
+    classes = tuple(1 << (bits[(i, 0)] + bits[(i, 1)]) for i in range(1, game.n + 1))
+    return _Quotient(pivots=pivots, bits=bits, classes=classes, inputs=inputs, checks=checks)
+
+
+def _responder(quotient: _Quotient) -> int:
     """Axis of the player whose best response is taken in closed form.
 
-    Eliminating player r walks ``space_size * (2^g_r0 + 2^g_r1) / c_r``
-    points, so r minimises ``(2^g_r0 + 2^g_r1) / c_r = 2^-g_r1 + 2^-g_r0``
-    (a sum of two powers of two, exact in floating point); ties go to the
-    lowest index.
+    Eliminating player r walks ``prod(classes) * (2^k_r0 + 2^k_r1) /
+    classes[r]`` points, for ``k_rx`` class bits at input x, so r minimises
+    ``2^-k_r0 + 2^-k_r1`` (a sum of two powers of two, exact in floating
+    point); ties go to the lowest index.
     """
+    bits = quotient.bits
     return min(
-        range(len(enum.choices)),
-        key=lambda a: 2.0 ** -enum.group_bits[(a + 1, 0)] + 2.0 ** -enum.group_bits[(a + 1, 1)],
+        range(len(quotient.classes)),
+        key=lambda a: 2.0 ** -bits[(a + 1, 0)] + 2.0 ** -bits[(a + 1, 1)],
     )
 
 
@@ -199,19 +296,23 @@ def classical_value(
 ) -> tuple[float, DeterministicStrategy]:
     """Exact optimum over deterministic strategies, with an attaining witness.
 
-    One responder player (see ``_responder``) is eliminated exactly: with the
-    other players' codes fixed, the inputs where the responder sees 0 depend
-    only on its input-0 pattern and the rest only on its input-1 pattern.
-    So the search fills two accumulators over the other players' grid, A
-    over the input-0 pattern and B over the input-1 pattern, and each grid
-    point scores ``max(A) + max(B)``.
+    The search walks class codes, not grouped codes (see the module
+    docstring): player i's code is ``class0 << k_i1 | class1``, for ``k_ix``
+    class bits at input x.  One responder player (see ``_responder``) is
+    eliminated exactly: with the other players' codes fixed, the inputs
+    where the responder sees 0 depend only on its input-0 class and the rest
+    only on its input-1 class.  So the search fills two accumulators over
+    the other players' grid, A over the input-0 class and B over the input-1
+    class, and each grid point scores ``max(A) + max(B)``.
 
-    Ties break toward the lowest index of the full reduced enumeration
-    (player 1's code most significant, each code ``pattern0 << g1 |
-    pattern1``), exactly as a walk over every point would.  The returned
-    value is the witness's winning input weights summed in input order.
-    Raises StrategySpaceError when the reduced space ``prod(c_j)`` exceeds
-    ``budget``, and GraphGameError for fewer than two players.
+    Ties break toward the lowest index of the class enumeration (player 1's
+    code most significant).  Classes are ordered by their lowest patterns,
+    so its lowest maximiser maps, class by class, to the lowest maximiser of
+    the grouped enumeration (player 1's code most significant, each code
+    ``pattern0 << g1 | pattern1``), whose index the witness carries.  The
+    returned value is the witness's winning input weights summed in input
+    order.  Raises StrategySpaceError when the grouped space ``prod(c_j)``
+    exceeds ``budget``, and GraphGameError for fewer than two players.
     """
     if not isinstance(game.payoff, ConsistencyPayoff):
         raise GraphGameError("classical_value requires a consistency-mode game")
@@ -222,66 +323,50 @@ def classical_value(
     if size > budget:
         raise StrategySpaceError(size, budget)
 
+    quotient = _quotient(game, enum)
+    bits = quotient.bits
+    classes = quotient.classes
     n = game.n
-    r = _responder(enum)
-    g1_r = enum.group_bits[(r + 1, 1)]
+    r = _responder(quotient)
+    k1_r = bits[(r + 1, 1)]
     others = [a for a in range(n) if a != r]
-    grid = tuple(enum.choices[a] for a in others)
+    grid = tuple(classes[a] for a in others)
     # Accumulator axes: the other players in order, then the responder's
-    # pattern at one input.
+    # class at one input.
     axis_of = {a: k for k, a in enumerate(others)}
     axis_of[r] = len(others)
-    width = max(1 << enum.group_bits[(r + 1, x)] for x in (0, 1))
+    width = max(1 << bits[(r + 1, x)] for x in (0, 1))
     rows = grid[0]
     row_entries = int(np.prod(grid[1:], dtype=np.int64)) * width
     block = max(1, min(rows, _BLOCK_ENTRIES // row_entries))
 
+    @cache
     def sign(i: int, x: int, mask: int) -> np.ndarray:
-        # Region-product sign of player i at input x, laid along its own axis.
+        # Side sign of player i at input x, laid along its own axis: per
+        # class code, or per input-x class for the responder.
         if i - 1 == r:
-            pat = np.arange(1 << enum.group_bits[(i, x)], dtype=np.uint64)
+            codes = 1 << bits[(i, x)]
         else:
-            pat = _patterns_for(enum, i, x)
+            codes = classes[i - 1]
+            mask <<= bits[(i, 1)] * (1 - x)
         dims = [1] * n
-        dims[axis_of[i - 1]] = len(pat)
-        return _parity_sign(pat, mask).reshape(dims)
+        dims[axis_of[i - 1]] = codes
+        return _parity_sign(np.arange(codes, dtype=np.uint64), mask).reshape(dims)
 
-    # A check is fixed by the players of its first and last side (one side
-    # for (a), two for (b) and (c)) and their inputs, so each factor is built
-    # once and shared by every input that has the check.  None marks a
-    # vacuous check.
-    built: dict[tuple[int, int, int, int], np.ndarray | None] = {}
-
-    def factor(x, sides, parity: int) -> np.ndarray | None:
-        signs = []
-        for i, verts in sides:
-            mask = enum.side_mask(i, x[i - 1], verts)
-            if mask is None:
-                return None
-            signs.append(sign(i, x[i - 1], mask))
-        return reduce(np.multiply, signs) == 1 - 2 * parity
-
-    # Per input vector: its weight, the accumulator it feeds (the responder's
-    # bit) and its referee checks as win factors, each broadcastable over
-    # that accumulator.
-    per_input: list[tuple[float, int, list[np.ndarray]]] = []
-    for x, w in weighted_inputs(game.distribution, n):
-        wins = []
-        for sides, parity in referee_checks(game, x):
-            (i, _), (j, _) = sides[0], sides[-1]
-            key = (i, x[i - 1], j, x[j - 1])
-            if key not in built:
-                built[key] = factor(x, sides, parity)
-            if built[key] is not None:
-                wins.append(built[key])
-        per_input.append((w, x[r], wins))
+    # Win factors, one per check, each broadcastable over the accumulator
+    # its inputs feed (the responder's bit).
+    built = {
+        key: reduce(np.multiply, [sign(*side) for side in sides]) == 1 - 2 * parity
+        for key, (sides, parity) in quotient.checks.items()
+    }
+    per_input = [(w, x[r], [built[key] for key in keys]) for w, x, keys in quotient.inputs]
 
     best_value = -1.0
     best_flat = 0
     for start in range(0, rows, block):
         stop = min(start + block, rows)
         local = (stop - start,) + grid[1:]
-        acc = [np.zeros(local + (1 << enum.group_bits[(r + 1, x)],)) for x in (0, 1)]
+        acc = [np.zeros(local + (1 << bits[(r + 1, x)],)) for x in (0, 1)]
         for w, half, factors in per_input:
             mask = True
             for f in factors:
@@ -291,31 +376,40 @@ def classical_value(
         top = float(vals.max())
         if top < best_value:
             continue
-        # Lowest full-enumeration index among this block's maximisers: the
-        # responder's code at each is its lowest maximising pair of patterns.
+        # Lowest class-enumeration index among this block's maximisers: the
+        # responder's code at each is its lowest maximising pair of classes.
         hits = np.flatnonzero(vals == top)
         coords = list(np.unravel_index(hits, local))
         coords[0] = coords[0] + start
-        p0, p1 = (a.reshape(-1, a.shape[-1])[hits].argmax(-1) for a in acc)
-        coords.insert(r, (p0 << g1_r) | p1)
-        flat = int(np.ravel_multi_index(coords, enum.choices).min())
+        c0, c1 = (a.reshape(-1, a.shape[-1])[hits].argmax(-1) for a in acc)
+        coords.insert(r, (c0 << k1_r) | c1)
+        flat = int(np.ravel_multi_index(coords, classes).min())
         if top > best_value or flat < best_flat:
             best_value = top
             best_flat = flat
 
-    # Re-score the witness input by input, in input order.  A walk over every
-    # point sums each point's weights that way, so the value matches it bit
-    # for bit instead of carrying the rounding of the split A + B.
-    coords = [int(c) for c in np.unravel_index(best_flat, enum.choices)]
-    code = coords.pop(r)
-    pattern = (code >> g1_r, code & ((1 << g1_r) - 1))
+    # The witness's class at each (player, input).
+    at = {}
+    for i, code in enumerate(np.unravel_index(best_flat, classes), 1):
+        at[(i, 0)], at[(i, 1)] = divmod(int(code), 1 << bits[(i, 1)])
+    # Re-score the witness check by check, adding the weights of the inputs
+    # it wins in input order.  A walk over every point sums each point's
+    # weights that way, so the value matches it bit for bit instead of
+    # carrying the rounding of the split A + B.
+    holds = {
+        key: sum((at[(i, x)] & mask).bit_count() for i, x, mask in sides) % 2 == parity
+        for key, (sides, parity) in quotient.checks.items()
+    }
     value = 0.0
-    for w, half, factors in per_input:
-        point = coords + [pattern[half]]
-        # A factor's size-1 axes broadcast, so they are read at index 0.
-        if all(f[tuple(min(c, d - 1) for c, d in zip(point, f.shape))] for f in factors):
+    for w, _, keys in quotient.inputs:
+        if all(holds[key] for key in keys):
             value += w
-    return value, _decode_strategy(game, enum, best_flat)
+    # Each class stands for its lowest pattern in the grouped enumeration.
+    flat = 0
+    for i, code in enumerate(enum.choices, 1):
+        pattern0, pattern1 = (_unpack(at[(i, x)], quotient.pivots[(i, x)]) for x in (0, 1))
+        flat = flat * code + (pattern0 << enum.group_bits[(i, 1)] | pattern1)
+    return value, _decode_strategy(game, enum, flat)
 
 
 def _decode_strategy(game: GraphicGame, enum: _Enumeration, flat: int) -> DeterministicStrategy:

@@ -28,6 +28,8 @@ from graphgame.classical import (
     DEFAULT_STRATEGY_BUDGET,
     _build_enumeration,
     _decode_strategy,
+    _pack,
+    _quotient,
     _responder,
 )
 
@@ -35,35 +37,81 @@ from _oracles import (
     brute_force_classical_value,
     brute_force_scores,
     exhaustive_target_value,
+    grouped_classical_value,
     random_game,
     random_target_tables,
     sign_slots,
 )
+
+_STAR_GRID = ((2, (0.2, 0.5, 0.8)), (3, (0.2, 0.5, 0.8)), (7, (0.3, 0.8)))
+_SHARED_GRID = ((3, (0.2, 0.5, 0.8)), (4, (0.2, 0.5, 0.8)))
 
 
 def _tie_cases():
     # Dyadic priors keep every sum exact, so ties are exact.  The search
     # eliminates the star hub (axis 0), a chain4 middle station (axis 1) and
     # chsh's last player; several of these have their first maximiser at a
-    # nonzero index.
-    return [
-        games.chsh_game(),
-        games.star_game(3),
-        games.star_game(3, p=0.25),
-        games.chain_game(),
-        games.chain_game(0.75),
-        games.trivial_game(),
-    ] + _small_random_games(seed=2, count=6)
+    # nonzero index.  The last eight games walk fewer classes than grouped
+    # codes, so their witnesses go through the class representatives.
+    return (
+        [
+            games.chsh_game(),
+            games.star_game(3),
+            games.star_game(3, p=0.25),
+            games.chain_game(),
+            games.chain_game(0.75),
+            games.trivial_game(),
+        ]
+        + _small_random_games(seed=2, count=6)
+        + _small_random_games(seed=2, count=8, shrunk=True)
+    )
 
 
-def _small_random_games(seed: int, count: int, max_slots: int = 14):
+def _small_random_games(seed: int, count: int, max_slots: int = 14, shrunk: bool = False):
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
         g = random_game(rng)
-        if len(sign_slots(g)) <= max_slots:
+        if len(sign_slots(g)) <= max_slots and (not shrunk or _shrinks(g)):
             out.append(g)
     return out
+
+
+def _shrinks(game) -> bool:
+    """True when the search walks fewer class codes than grouped codes."""
+    enum = _build_enumeration(game)
+    return math.prod(_quotient(game, enum).classes) < enum.space_size
+
+
+def _last_row_game():
+    # Only input strings 10 and 11 occur.  Player 2 must sign v with +1
+    # (its product condition), so at 11 player 1 must sign v with -1 and at
+    # 10 with +1: the heavier 11 wins, 0.75, and only with player 1's last
+    # class.  Player 2 has more class bits, so it responds and player 1's
+    # classes are the rows of the grid.
+    return GraphicGame(
+        graph=Graph(["v"]),
+        n=2,
+        m=1,
+        assignments=AssignmentMap({(1, 0): ["v"], (1, 1): ["v"], (2, 0): ["v"], (2, 1): ["v"]}),
+        distribution=JointDistribution({"10": 0.25, "11": 0.75}),
+        payoff=ConsistencyPayoff(),
+    )
+
+
+def _witness_row(game, witness) -> tuple[int, int]:
+    """The grid row that holds ``witness``, and the number of rows.
+
+    Rows are the class codes of the first player that does not respond.
+    """
+    enum = _build_enumeration(game)
+    quotient = _quotient(game, enum)
+    a = 1 if _responder(quotient) == 0 else 0
+    code = int(np.unravel_index(witness.index, enum.choices)[a])
+    g1 = enum.group_bits[(a + 1, 1)]
+    c0 = _pack(code >> g1, quotient.pivots[(a + 1, 0)])
+    c1 = _pack(code & ((1 << g1) - 1), quotient.pivots[(a + 1, 1)])
+    return c0 << quotient.bits[(a + 1, 1)] | c1, quotient.classes[a]
 
 
 class TestClassicalValue:
@@ -116,12 +164,41 @@ class TestClassicalValue:
             assert witness.index == next(k for k in range(enum.space_size) if score(k) == value)
 
     def test_blocks_keep_value_and_witness(self, monkeypatch):
-        cases = _tie_cases() + [games.cube_game(3, p=0.3)]
-        whole = [classical_value(g) for g in cases]
+        # One-row blocks must find what the grouped walk finds, also when
+        # the only optimum lies in the last row.
+        last = _last_row_game()
+        cases = _tie_cases() + [games.cube_game(3, p=0.3), last]
+        reference = [grouped_classical_value(g) for g in cases]
+        value, witness = reference[-1]
+        scores = brute_force_scores(last)
+        bit = len(sign_slots(last)) - 1 - sign_slots(last).index((1, 1, "v"))
+        assert value == scores.max() == 0.75
+        assert all(code >> bit & 1 for code in np.flatnonzero(scores == value))
+        row, rows = _witness_row(last, witness)
+        assert rows > 1 and row == rows - 1
         monkeypatch.setattr(classical, "_BLOCK_ENTRIES", 1)
-        for g, (value, witness) in zip(cases, whole):
-            blocked_value, blocked = classical_value(g)
-            assert (blocked_value, blocked.index) == (value, witness.index)
+        for g, (value, witness) in zip(cases, reference):
+            got, blocked = classical_value(g)
+            assert (got, blocked.index, blocked.signs) == (value, witness.index, witness.signs)
+
+    def test_matches_grouped_walk(self):
+        # The class walk must return the grouped walk's exact value, witness
+        # index and signs; enough of the games must walk fewer classes than
+        # grouped codes for the comparison to test the quotient at all.
+        rng = np.random.default_rng(2)
+        cases = (
+            [build() for build in games.FIXTURES.values()]
+            + [games.star_game(n1, p=p) for n1, priors in _STAR_GRID for p in priors]
+            + [games.shared_game(l, p=p) for l, priors in _SHARED_GRID for p in priors]
+            + [random_game(rng, max_vertices=5) for _ in range(300)]
+        )
+        cases = [g for g in cases if isinstance(g.payoff, ConsistencyPayoff)]
+        for g in cases:
+            value, witness = classical_value(g)
+            reference, expected = grouped_classical_value(g)
+            assert (value, witness.index, witness.signs) == (reference, expected.index, expected.signs)
+        assert "cube3" in games.FIXTURES and _shrinks(games.cube_game(3))
+        assert sum(_shrinks(g) for g in cases) >= 10
 
     def test_matches_ungrouped_brute_force(self):
         rng = np.random.default_rng(44)
@@ -136,8 +213,8 @@ class TestClassicalValue:
 
     def test_responder_saves_the_most(self):
         # The hub on stars, the first middle station on chain4.
-        assert _responder(_build_enumeration(games.star_game(5))) == 0
-        assert _responder(_build_enumeration(games.chain_game())) == 1
+        for g, axis in ((games.star_game(5), 0), (games.chain_game(), 1)):
+            assert _responder(_quotient(g, _build_enumeration(g))) == axis
 
     def test_needs_two_players(self):
         solo = GraphicGame(
@@ -245,7 +322,7 @@ class TestClosedForms:
 
     def test_star_grid_against_brute_force(self):
         # star7's reduced space is exactly the default budget.
-        for n1, priors in ((2, (0.2, 0.5, 0.8)), (3, (0.2, 0.5, 0.8)), (7, (0.3, 0.8))):
+        for n1, priors in _STAR_GRID:
             for p in priors:
                 brute, _ = classical_value(games.star_game(n1, p=p))
                 assert brute == pytest.approx(
@@ -258,8 +335,8 @@ class TestClosedForms:
         assert err.value.space_size == 2**24 == DEFAULT_STRATEGY_BUDGET
 
     def test_shared_grid_against_brute_force(self):
-        for l in (3, 4):
-            for p in (0.2, 0.5, 0.8):
+        for l, priors in _SHARED_GRID:
+            for p in priors:
                 brute, _ = classical_value(games.shared_game(l, p=p))
                 assert brute == pytest.approx(
                     closed_form_shared_classical(ClosedFormParams(p=p, l=l)), abs=1e-12
