@@ -12,21 +12,22 @@ representative to whatever sign restores the product to +1).  Player j's
 grouped codes number ``c_j = 2^(g_j0 + g_j1)``, for ``g_jx`` groups at input
 x.
 
-The win factors come from ``model.referee_checks``: each side of a check
-becomes a mask over its player's group bits, and a check with a side that
-holds an absorbing group is vacuous.  The search itself never restates the
-referee's conditions.
+The win factors come from the game's check table (``GraphicGame.checks``):
+each side of a check that applies at an input of nonzero weight becomes a
+mask over its player's group bits, once per check key, and a check with a
+side that holds an absorbing group is vacuous.  The search itself never
+restates the referee's conditions.
 
 The referee reads player i's input-x pattern only through its parities on
-the masks of the non-vacuous sides at inputs of nonzero weight, so two
-patterns with the same parities score the same everywhere.  The search
-walks one class of such patterns per code, ``2^k_ix`` classes for a mask
-span of rank ``k_ix``, and each class stands for its lowest pattern (see
-``_pivots``).  Classes are numbered in the order of those patterns, so the
-lowest maximiser over classes is, pattern by pattern, the lowest maximiser
-over grouped codes.  Where the masks have full rank (stars, chain4, the
-shared games) the classes are the patterns; cube3's players keep 3 of their
-4 bits at each input, 2^18 points for the 2^24 grouped ones.
+the masks of the non-vacuous sides, so two patterns with the same parities
+score the same everywhere.  The search walks one class of such patterns per
+code, ``2^k_ix`` classes for a mask span of rank ``k_ix``, and each class
+stands for its lowest pattern (see ``_pivots``).  Classes are numbered in
+the order of those patterns, so the lowest maximiser over classes is,
+pattern by pattern, the lowest maximiser over grouped codes.  Where the
+masks have full rank (stars, chain4, the shared games) the classes are the
+patterns; cube3's players keep 3 of their 4 bits at each input, 2^18 points
+for the 2^24 grouped ones.
 
 The search then eliminates one responder player exactly.  Its code is a
 pair (input-0 class, input-1 class), and with every other player's code
@@ -58,10 +59,10 @@ from .model import (
     InputDistribution,
     TargetFunction,
     TargetPayoff,
+    _keys_at,
     bits_key,
     input_vectors,
     input_weight,
-    referee_checks,
     weighted_inputs,
 )
 
@@ -226,10 +227,9 @@ class _Quotient:
     (see ``_pivots``), and that (player, input) has ``2^bits[(i, x)]``
     classes, so player i has ``classes[i - 1]`` codes ``class0 << bits1 |
     class1``.  ``inputs`` holds each weighted input vector with its weight
-    and the keys of its non-vacuous checks.  A check is fixed by the players
-    of its first and last side and their inputs, so ``checks[key]`` is
-    shared by every input that has it: its sides as (player, input, mask
-    over the class bits) and its parity.
+    and the keys of the non-vacuous checks that apply there, and
+    ``checks[key]`` holds that check's sides as (player, input, mask over the
+    class bits) and its parity.
     """
 
     pivots: dict[tuple[int, int], list[int]]
@@ -240,37 +240,28 @@ class _Quotient:
 
 
 def _quotient(game: GraphicGame, enum: _Enumeration) -> _Quotient:
-    """One pass over the weighted inputs: their checks, and the masks they read.
+    """The checks that apply at the weighted inputs, and the masks they read.
 
-    ``referee_checks`` runs once per input and ``side_mask`` once per check
-    key.  A check with an absorbing side is vacuous and reads nothing.
+    ``side_mask`` runs once per side of each such check.  A check with an
+    absorbing side reads nothing and is left out.
     """
-    checks: dict[tuple[int, int, int, int], tuple[list[tuple[int, int, int]], int]] = {}
-    vacuous = set()
+    inputs = [(w, x, _keys_at(game, x)) for x, w in weighted_inputs(game.distribution, game.n)]
+    applied = dict.fromkeys(key for _, _, keys in inputs for key in keys)
+    checks = {}
     masks: dict[tuple[int, int], list[int]] = {key: [] for key in enum.group_bits}
-    inputs = []
-    for x, w in weighted_inputs(game.distribution, game.n):
-        keys = []
-        for sides, parity in referee_checks(game, x):
-            (i, _), (j, _) = sides[0], sides[-1]
-            key = (i, x[i - 1], j, x[j - 1])
-            if key in vacuous:
-                continue
-            if key not in checks:
-                read = [(i, x[i - 1], enum.side_mask(i, x[i - 1], verts)) for i, verts in sides]
-                if any(mask is None for _, _, mask in read):
-                    vacuous.add(key)
-                    continue
-                checks[key] = (read, parity)
-                for i, xi, mask in read:
-                    masks[(i, xi)].append(mask)
-            keys.append(key)
-        inputs.append((w, x, keys))
+    for key in applied:
+        sides, parity = game.checks[key]
+        read = [(i, xi, enum.side_mask(i, xi, verts)) for i, xi, verts in sides]
+        if all(mask is not None for _, _, mask in read):
+            checks[key] = (read, parity)
+            for i, xi, mask in read:
+                masks[(i, xi)].append(mask)
     pivots = {key: _pivots(ms) for key, ms in masks.items()}
     checks = {
         key: ([(i, xi, _pack(mask, pivots[(i, xi)])) for i, xi, mask in read], parity)
         for key, (read, parity) in checks.items()
     }
+    inputs = [(w, x, [key for key in keys if key in checks]) for w, x, keys in inputs]
     bits = {key: len(p) for key, p in pivots.items()}
     classes = tuple(1 << (bits[(i, 0)] + bits[(i, 1)]) for i in range(1, game.n + 1))
     return _Quotient(pivots=pivots, bits=bits, classes=classes, inputs=inputs, checks=checks)

@@ -65,9 +65,9 @@ class Classification:
 
 
 def _shares_always(game: GraphicGame, i: int, j: int) -> bool:
-    return all(
-        game.owned(i, xi) & game.owned(j, xj) for xi in (0, 1) for xj in (0, 1)
-    )
+    """Players ``i < j``, ``j > m``, share vertices at all four input pairs:
+    the referee holds a check on them under each of the four keys."""
+    return all((i, xi, j, xj) in game.checks for xi in (0, 1) for xj in (0, 1))
 
 
 def players_sharing_with(game: GraphicGame, i: int) -> frozenset[int]:

@@ -21,23 +21,28 @@ two-vertex game where player 1 owns ``v_{x_1+1}`` and player 2 owns both
 vertices is exactly the CHSH predicate.
 
 Every condition says that a product of signs has a fixed parity, so each is
-a GF(2) constraint.  ``referee_checks`` states them once as ``(sides,
-parity)`` checks; both exact solvers (the classical search and the quantum
-correlator polynomial) are built from those checks alone, and the simulator
-scores its rounds with them.  ``evaluate_payoff`` scores a round on its own,
-as the independent reference that ``strategy_value`` and the tests use.
+a GF(2) constraint, and a check reads only two players and their two input
+bits.  ``GraphicGame.checks`` states each check once, keyed by those players
+and bits, and applies it at every input that matches its key; both exact
+solvers (the classical search and the quantum correlator polynomial), the
+simulator and the classifier's sharing test read that one table.
+``evaluate_payoff`` scores a round on its own, as the independent reference
+that ``strategy_value`` and the tests use.
 
 Conventions used across the package: players are 1-based, inputs are bits,
 an input vector is a tuple of n bits, vertex identifiers are strings
 (integers are normalised to their decimal string), signs are the Python
 ints +1 and -1.  Every type is immutable after construction and every
-operation is a pure function, so concurrent use needs no locking.
+operation is a pure function, so concurrent use needs no locking: the check
+table is built on first use, and two threads racing on it only build equal
+tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _iter_product
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -154,6 +159,9 @@ class TargetPayoff:
 
 PayoffMode = Union[ConsistencyPayoff, TargetPayoff]
 
+CheckKey = tuple[int, int, int, int]  # (i, x_i, j, x_j)
+Side = tuple[int, int, frozenset[str]]  # (player, input, vertices)
+
 
 @dataclass(frozen=True)
 class GraphicGame:
@@ -180,6 +188,36 @@ class GraphicGame:
     @property
     def players(self) -> range:
         return range(1, self.n + 1)
+
+    @cached_property
+    def checks(self) -> dict[CheckKey, tuple[tuple[Side, ...], int]]:
+        """Conditions (a)-(c) as parity checks ``(sides, parity)``, keyed ``(i, x_i, j, x_j)``.
+
+        A side ``(player, input, vertices)`` stands for the product of that
+        player's signs over those vertices; a check holds when the product
+        over all its sides is ``(-1)**parity``.  The check under key ``(i,
+        x_i, j, x_j)`` applies at every input vector whose bits for players
+        i and j are ``x_i`` and ``x_j``, and a round is won iff every check
+        that applies holds.  A solo product (condition (a)) has ``i == j``.
+        Keys come in the referee's order: the solo products of players
+        ``> m``, then each constrained pair ``i < j``.  Empty sets impose
+        nothing and have no key.  Built from ownership on first use.
+        """
+        n, m, owned = self.n, self.m, self.assignments.owned
+        table = {
+            (i, b, i, b): (((i, b, owned[(i, b)]),), 0)
+            for i in range(m + 1, n + 1)
+            for b in (0, 1)
+            if owned[(i, b)]
+        }
+        for i in range(1, n + 1):
+            for j in range(max(i + 1, m + 1), n + 1):
+                for xi, xj in _iter_product((0, 1), repeat=2):
+                    region = owned[(i, xi)] & owned[(j, xj)]
+                    if region:
+                        parity = int(i <= m and xi == xj == 1)
+                        table[(i, xi, j, xj)] = (((i, xi, region), (j, xj, region)), parity)
+        return table
 
 
 @dataclass(frozen=True)
@@ -414,29 +452,9 @@ def evaluate_payoff(game: GraphicGame, x: Sequence[int], assignment: OutputAssig
     return PayoffBreakdown(solo_products=solo, region_products=regions, verdict=1 if ok else 0)
 
 
-Side = tuple[int, frozenset[str]]
-
-
-def referee_checks(game: GraphicGame, x: Sequence[int]) -> list[tuple[tuple[Side, ...], int]]:
-    """Conditions (a)-(c) at input ``x`` as parity checks ``(sides, parity)``.
-
-    A side ``(player, vertices)`` stands for the product of that player's
-    signs over those vertices; a check holds when the product over all its
-    sides is ``(-1)**parity``, and a round is won iff every check holds.
-    Checks come in the referee's order: the solo products of players
-    ``> m``, then each constrained pair ``i < j``.  Empty sets impose
-    nothing and yield no check.
-    """
-    n, m = game.n, game.m
-    owned = [frozenset()] + [game.assignments.owned[(i, b)] for i, b in enumerate(x, 1)]
-    checks = [(((i, owned[i]),), 0) for i in range(m + 1, n + 1) if owned[i]]
-    for i in range(1, n + 1):
-        for j in range(max(i + 1, m + 1), n + 1):
-            region = owned[i] & owned[j]
-            if region:
-                want = int(i <= m and x[i - 1] == 1 and x[j - 1] == 1)
-                checks.append((((i, region), (j, region)), want))
-    return checks
+def _keys_at(game: GraphicGame, x: Sequence[int]) -> list[CheckKey]:
+    """The keys of ``game.checks`` that apply at input ``x``, in the referee's order."""
+    return [key for key in game.checks if x[key[0] - 1] == key[1] and x[key[2] - 1] == key[3]]
 
 
 def evaluate_target_payoff(game: GraphicGame, x: Sequence[int], declared) -> int:

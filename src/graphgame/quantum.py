@@ -16,12 +16,13 @@ Outcome statistics for one pair measured along ``theta_a`` and ``theta_b``:
 with uniform marginals; a half that nobody measures behaves as an
 independent fair sign.  Winning probabilities are exact sums of one
 compiled correlator polynomial per strategy, ``sum coeff * prod
-cos(theta_a - theta_b)``: substituting the wiring into the referee's
-checks (``model.referee_checks``) turns them into parity constraints on the
-measured outcomes, and their GF(2) solution space gives every coefficient
-in closed form, with no enumeration of outcome tuples.  So every optimizer
-result is a genuine lower bound on the game's quantum value, never an
-estimate.
+cos(theta_a - theta_b)``: substituting the wiring into each check of the
+game's table (``GraphicGame.checks``), once per check key, turns it into a
+parity constraint on the measured outcomes, and at each input the GF(2)
+solution space of the constraints whose keys apply there gives every
+coefficient in closed form, with no enumeration of outcome tuples.  So
+every optimizer result is a genuine lower bound on the game's quantum
+value, never an estimate.
 
 Vertices owned by three or more players have no pair here and are rejected
 by default; passing ``allow_multiway=True`` treats them as unentangled
@@ -43,13 +44,16 @@ from .model import (
     GraphGameError,
     GraphicGame,
     TargetPayoff,
+    _keys_at,
     _substream,
     bits_key,
-    referee_checks,
     weighted_inputs,
 )
 
 DEFAULT_PAIR_BUDGET = 12
+
+# Sweeps after which an ascent or the target probe stops unconverged.
+_MAX_SWEEPS = 40
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -164,7 +168,6 @@ class OptimizeOptions:
     seed: int = 0
     pair_budget: int = DEFAULT_PAIR_BUDGET
     allow_multiway: bool = False
-    max_sweeps: int = 40
 
 
 def validate_strategy(game: GraphicGame, strategy: QuantumStrategy, model: PairModel) -> None:
@@ -268,29 +271,32 @@ def deterministic_as_quantum(game: GraphicGame, det: DeterministicStrategy) -> Q
 def _parity_constraints(
     game: GraphicGame,
     answers: Mapping[tuple[int, int, str], tuple[int, tuple[str, ...]]],
-    x: Sequence[int],
-    bit: Mapping[tuple[int, str], int],
-) -> list[tuple[int, int]]:
-    """``referee_checks`` at ``x`` with each side's wired outputs substituted.
+    pairs: Sequence[tuple[str, int, int]],
+) -> dict[tuple[int, int, int, int], tuple[int, int]]:
+    """Each check of ``game.checks`` with the wired outputs substituted, by key.
 
     ``answers[(player, input, vertex)]`` is the wiring's ``(sign, refs)``.
-    Outcome bit ``o`` stands for the sign ``(-1)**o`` of the measured half
-    ``(player, vertex)`` whose bitmask is ``bit[...]``, so every wired output
-    is ``sign * (-1)**popcount(outcomes & mask)``.  Each returned ``(mask,
-    parity)`` holds when ``popcount(outcomes & mask)`` has that parity, and
-    the round is won iff all of them hold.
+    Outcome bit ``o`` stands for the sign ``(-1)**o`` of a measured half:
+    pair k of ``pairs`` (vertex, a, b) holds a's half at bit ``2k + 1`` and
+    b's at bit ``2k``.  So every wired output is ``sign *
+    (-1)**popcount(outcomes & mask)``, and each ``(mask, parity)`` holds when
+    ``popcount(outcomes & mask)`` has that parity.  A round at input ``x``
+    is won iff every row whose key applies at ``x`` holds.
     """
-    constraints = []
-    for sides, parity in referee_checks(game, x):
+    bit = {}
+    for k, (v, a, b) in enumerate(pairs):
+        bit[(a, v)], bit[(b, v)] = 1 << 2 * k + 1, 1 << 2 * k
+    rows = {}
+    for key, (sides, parity) in game.checks.items():
         mask = 0
-        for i, verts in sides:
+        for i, xi, verts in sides:
             for v in verts:
-                sign, refs = answers[(i, x[i - 1], v)]
+                sign, refs = answers[(i, xi, v)]
                 parity ^= sign < 0
                 for r in refs:
                     mask ^= bit[(i, r)]
-        constraints.append((mask, parity))
-    return constraints
+        rows[key] = (mask, parity)
+    return rows
 
 
 def _reduce(basis: Mapping[int, tuple[int, int]], mask: int, parity: int) -> tuple[int, int]:
@@ -323,17 +329,18 @@ def _echelon(constraints) -> Optional[dict[int, tuple[int, int]]]:
 class _Evaluator:
     """The strategy's winning probability as a polynomial in the correlators.
 
-    At input ``x`` with weight ``w`` the won outcomes of the measured halves
-    are the solutions of a GF(2) system of parity constraints, an affine
-    subspace of rank ``r``.  Writing each pair's outcome law as
-    ``(1 + a*b*c)/4`` and expanding, the subset ``S`` of fully measured pairs
-    gets the coefficient ``w * 4**-both * 2**-single * sum over wins of the
-    character of S``; that character sum over an affine subspace is
-    ``+-2**(sides - r)`` when the character is constant on it (its mask lies
-    in the constraints' span) and 0 otherwise, so the coefficient is
-    ``+-w * 2**-r`` or 0.  Equal monomials merge across inputs.  A slot
-    enters at most one correlator of any monomial, so along one angle the
-    value is ``a*cos(t) + b*sin(t) + c`` (``sinusoid``).
+    The wiring is substituted into each check key once
+    (``_parity_constraints``).  At input ``x`` with weight ``w`` the won
+    outcomes of the measured halves are the solutions of the rows whose keys
+    apply at ``x``, an affine subspace of rank ``r``.  Writing each pair's
+    outcome law as ``(1 + a*b*c)/4`` and expanding, the subset ``S`` of
+    fully measured pairs gets the coefficient ``w * 4**-both * 2**-single *
+    sum over wins of the character of S``; that character sum over an affine
+    subspace is ``+-2**(sides - r)`` when the character is constant on it
+    (its mask lies in the constraints' span) and 0 otherwise, so the
+    coefficient is ``+-w * 2**-r`` or 0.  Equal monomials merge across
+    inputs.  A slot enters at most one correlator of any monomial, so along
+    one angle the value is ``a*cos(t) + b*sin(t) + c`` (``sinusoid``).
     """
 
     def __init__(self, game: GraphicGame, strategy: QuantumStrategy, model: PairModel):
@@ -342,20 +349,17 @@ class _Evaluator:
         # Monomial (its correlators' slot pairs, in pair order) -> coefficient.
         coeffs: dict[tuple[tuple[int, int], ...], float] = {}
         answers = {key: (e.sign, e.refs) for key, e in strategy.wiring.items()}
+        rows = _parity_constraints(game, answers, model.pairs)
         for x, w in weighted_inputs(game.distribution, game.n):
-            bit: dict[tuple[int, str], int] = {}
-            full: list[tuple[tuple[int, int], int]] = []  # (slot pair, mask of both halves)
-            for v, a, b in model.pairs:
-                ia = index.get((a, v, x[a - 1]))
-                ib = index.get((b, v, x[b - 1]))
-                for player, slot in ((a, ia), (b, ib)):
-                    if slot is not None:
-                        bit[(player, v)] = 1 << len(bit)
-                if ia is not None and ib is not None:
-                    full.append(((ia, ib), bit[(a, v)] | bit[(b, v)]))
-            basis = _echelon(_parity_constraints(game, answers, x, bit))
+            basis = _echelon(rows[key] for key in _keys_at(game, x))
             if basis is None:
                 continue
+            full: list[tuple[tuple[int, int], int]] = []  # (slot pair, mask of both halves)
+            for k, (v, a, b) in enumerate(model.pairs):
+                ia = index.get((a, v, x[a - 1]))
+                ib = index.get((b, v, x[b - 1]))
+                if ia is not None and ib is not None:
+                    full.append(((ia, ib), 3 << 2 * k))
             scale = w / 2.0 ** len(basis)
             for subset in range(1 << len(full)):
                 chosen = [(pair, m) for k, (pair, m) in enumerate(full) if subset >> k & 1]
@@ -501,8 +505,6 @@ def _exact_step(angles: _Angles, idx: int, a: float, b: float, c: float, current
 def _check_options(opts: OptimizeOptions) -> None:
     if opts.restarts < 1:
         raise GraphGameError(f"restarts must be at least 1, got {opts.restarts!r}")
-    if opts.max_sweeps < 1:
-        raise GraphGameError(f"max_sweeps must be at least 1, got {opts.max_sweeps!r}")
     if not (math.isfinite(opts.tolerance) and opts.tolerance >= 0.0):
         raise GraphGameError(f"tolerance must be finite and non-negative, got {opts.tolerance!r}")
 
@@ -513,7 +515,7 @@ def _ascend(ev: _Evaluator, theta: list[float], opts: OptimizeOptions) -> tuple[
     value = ev.total(angles.corr)
     if not theta:
         return value, True
-    for _ in range(opts.max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         before = value
         for idx in range(len(theta)):
             value = _exact_step(angles, idx, *ev.sinusoid(angles, idx, value), value)
@@ -641,7 +643,7 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
     ``own input -> image``.  It starts right on the first best
     complementary pair of inputs, lets the players best-respond in order
     (ties go to the lowest image) and stops once a sweep gains less than
-    ``tolerance``, after at most ``max_sweeps``.  The value is exact for
+    ``tolerance``, after at most ``_MAX_SWEEPS``.  The value is exact for
     the tables found, so it never exceeds the classical optimum.  Games
     without any two-owner vertex get the exact classical response value.
     ``restarts`` and ``seed`` are validated but have no effect.
@@ -671,7 +673,7 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
         return np.array([tabs[i][xs[:, i]] == target[:, i] for i in players])
 
     now = float(w[hits().all(axis=0)].sum())
-    for _ in range(opts.max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         current = now
         for i in players:
             others = np.delete(hits(), i, axis=0).all(axis=0)

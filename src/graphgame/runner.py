@@ -20,8 +20,10 @@ array operations:
   4-entry outcome table that lie at or below its draw;
 * the outcome bits packed into uint64 words;
 * the verdict as parities of those words, one ``(mask, parity)`` row per
-  referee check with the players' answers substituted
-  (``quantum._parity_constraints``), for each input that occurs.
+  key of the game's check table with the players' answers substituted
+  once per session (``quantum._parity_constraints``); a round must pass
+  the rows whose keys apply at its input, worked out once per distinct
+  input of the chunk.
 
 ``replay_round`` plays one round through the readable scalar path and
 returns its full record.  Both paths read the same draws and compare them
@@ -49,8 +51,8 @@ from .model import (
     GraphicGame,
     IIDDistribution,
     OutputAssignment,
+    _keys_at,
     bits_key,
-    referee_checks,
     weighted_inputs,
 )
 from .quantum import (
@@ -212,9 +214,10 @@ def _play(sess: _Session, u: Sequence[float]) -> RoundRecord:
             values[(i, v)] = s
 
     verdict = 1
-    for sides, parity in referee_checks(game, x):
+    for key in _keys_at(game, x):
+        sides, parity = game.checks[key]
         s = 1
-        for i, verts in sides:
+        for i, _, verts in sides:
             for v in verts:
                 s *= values[(i, v)]
         if s != (-1) ** parity:
@@ -263,26 +266,6 @@ def _distinct(xs: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
     return [tuple(x) for x in xs[first].tolist()], inverse.reshape(-1)
 
 
-def _compile(sess: _Session, x: tuple[int, ...], bit: Mapping[tuple[int, str], int], words: int):
-    """The referee's checks at ``x`` (``quantum._parity_constraints``), each
-    mask split into ``words`` uint64 words, and their parities."""
-    rows = _parity_constraints(sess.game, sess.answers, x, bit)
-    masks = [[(mask >> (64 * w)) & _WORD for w in range(words)] for mask, _ in rows]
-    return np.array(masks, dtype=np.uint64).reshape(-1, words), np.array([p for _, p in rows], dtype=np.uint8)
-
-
-def _verdicts(outcome_bits: np.ndarray, inverse: np.ndarray, checks) -> np.ndarray:
-    """Whether each row passes every check of its input (``checks[inverse[row]]``)."""
-    count = max(len(parities) for _, parities in checks)
-    mask = np.zeros((len(checks), count, outcome_bits.shape[1]), np.uint64)
-    parity = np.zeros((len(checks), count), np.uint8)
-    for j, (masks, parities) in enumerate(checks):  # absent checks: empty mask, even parity
-        mask[j, : len(parities)] = masks
-        parity[j, : len(parities)] = parities
-    odd = np.bitwise_count(outcome_bits[:, None, :] & mask[inverse]).sum(axis=2) & 1
-    return (odd == parity[inverse]).all(axis=1)
-
-
 def run_session(game: GraphicGame, config: SessionConfig) -> SessionStats:
     """Play ``config.rounds`` rounds; fully reproducible from ``config.seed``.
 
@@ -292,16 +275,17 @@ def run_session(game: GraphicGame, config: SessionConfig) -> SessionStats:
     npairs = len(sess.pairs)
     first_pair_draw = game.n if isinstance(game.distribution, IIDDistribution) else 1
     words = max(1, -(-npairs // 32))
-    # Pair k's outcome index, 2 * [side a is -1] + [side b is -1], fills bits 2k and 2k + 1;
-    # bit[(player, vertex)] is the mask of that half's bit.
-    bit = {}
-    for k, (v, a, b) in enumerate(sess.pairs):
-        bit[(a, v)], bit[(b, v)] = 1 << 2 * k + 1, 1 << 2 * k
     owners = np.array([(a - 1, b - 1) for _, a, b in sess.pairs], dtype=np.intp).reshape(-1, 2)
     thresholds = _pair_thresholds(sess)
+    # Pair k's outcome index, 2 * [side a is -1] + [side b is -1], fills bits 2k and 2k + 1,
+    # the bits of its halves in the rows: one per check key, each mask split into uint64 words.
+    rows = _parity_constraints(game, sess.answers, sess.pairs)
+    keys = np.array(list(rows), dtype=np.intp).reshape(-1, 4)
+    masks = np.array([[mask >> 64 * w & _WORD for w in range(words)] for mask, _ in rows.values()], np.uint64)
+    masks = masks.reshape(-1, words)
+    parities = np.array([parity for _, parity in rows.values()], dtype=np.uint8)
 
     stream = _stream(sess, config.seed, 0)
-    compiled: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     tally: dict[tuple[int, ...], list[int]] = {}
     for start in range(0, config.rounds, _CHUNK):
         u = stream.random((min(_CHUNK, config.rounds - start), sess.width))
@@ -310,10 +294,11 @@ def run_session(game: GraphicGame, config: SessionConfig) -> SessionStats:
         table = 2 * xs[:, owners[:, 0]] + xs[:, owners[:, 1]]
         drawn = (thresholds[np.arange(npairs), table] <= draws[:, :, None]).sum(axis=2)
         inputs, inverse = _distinct(xs)
-        for x in inputs:
-            if x not in compiled:
-                compiled[x] = _compile(sess, x, bit, words)
-        won = _verdicts(_pack(drawn, 2), inverse, [compiled[x] for x in inputs])
+        # applies[d, k]: row k's key matches distinct input d on both of its players.
+        at = np.array(inputs, dtype=np.intp)
+        applies = (at[:, keys[:, 0] - 1] == keys[:, 1]) & (at[:, keys[:, 2] - 1] == keys[:, 3])
+        odd = np.bitwise_count(_pack(drawn, 2)[:, None, :] & masks).sum(axis=2) & 1
+        won = ~((odd != parities) & applies[inverse]).any(axis=1)
         plays = np.bincount(inverse, minlength=len(inputs)).tolist()
         wins = np.bincount(inverse[won], minlength=len(inputs)).tolist()
         for x, k, w in zip(inputs, plays, wins):

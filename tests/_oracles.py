@@ -37,7 +37,6 @@ from graphgame.model import (
     evaluate_payoff,
     input_vectors,
     input_weight,
-    referee_checks,
     weighted_inputs,
 )
 from graphgame.quantum import OutputExpr
@@ -291,8 +290,10 @@ def grouped_classical_value(game: GraphicGame):
     acc = [np.zeros(grid + [1 << bits[(r + 1, x)]]) for x in (0, 1)]
     for x, w in weighted_inputs(game.distribution, n):
         won = True
-        for sides, parity in referee_checks(game, x):
-            signs = [sign(i, x[i - 1], verts) for i, verts in sides]
+        for (i, xi, j, xj), (sides, parity) in game.checks.items():
+            if (x[i - 1], x[j - 1]) != (xi, xj):
+                continue
+            signs = [sign(*side) for side in sides]
             if all(s is not None for s in signs):
                 won = won & (math.prod(signs) == 1 - 2 * parity)
         np.add(acc[x[r]], w, out=acc[x[r]], where=won)

@@ -22,7 +22,7 @@ from graphgame import (
     shared_region,
     validate_game,
 )
-from graphgame.model import AssignmentDomainError, DistributionError, TargetTableError, referee_checks
+from graphgame.model import AssignmentDomainError, DistributionError, TargetTableError
 from graphgame import games
 
 from _oracles import random_assignment, random_game
@@ -255,10 +255,13 @@ class TestRefereeChecks:
         seen = {0: 0, 1: 0}
         for g in consistency + [random_game(rng) for _ in range(100)]:
             for x in input_vectors(g.n):
-                checks = referee_checks(g, x)
+                checks = [
+                    check for (i, xi, j, xj), check in g.checks.items() if (x[i - 1], x[j - 1]) == (xi, xj)
+                ]
+                assert all(x[i - 1] == xi for sides, _ in checks for i, xi, _ in sides)
                 for values in self.assignments(rng, g, x):
                     held = all(
-                        math.prod(values[(i, v)] for i, verts in sides for v in verts)
+                        math.prod(values[(i, v)] for i, _, verts in sides for v in verts)
                         == (-1) ** parity
                         for sides, parity in checks
                     )
@@ -266,6 +269,14 @@ class TestRefereeChecks:
                     assert held == (verdict == 1), (g, x, values)
                     seen[verdict] += 1
         assert min(seen.values()) > 1000
+
+    def test_table_is_built_once_on_first_use(self):
+        g = games.star_game(66)
+        assert "checks" not in vars(g)
+        assert g.checks is g.checks
+        # Each of the 65 leaves has a solo product at both inputs and a region
+        # with the hub at all four input pairs.
+        assert len(g.checks) == 65 * 2 + 65 * 4 == 390
 
 
 class TestTargetPayoff:

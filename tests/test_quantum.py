@@ -313,12 +313,11 @@ class TestOptimizer:
         [
             OptimizeOptions(restarts=0),
             OptimizeOptions(restarts=-3),
-            OptimizeOptions(max_sweeps=0),
             OptimizeOptions(tolerance=-1e-9),
             OptimizeOptions(tolerance=math.nan),
             OptimizeOptions(tolerance=math.inf),
         ],
-        ids=["restarts-0", "restarts-neg", "sweeps-0", "tol-neg", "tol-nan", "tol-inf"],
+        ids=["restarts-0", "restarts-neg", "tol-neg", "tol-nan", "tol-inf"],
     )
     def test_rejects_bad_options(self, options):
         with pytest.raises(GraphGameError):
