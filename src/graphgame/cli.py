@@ -84,7 +84,8 @@ def _ms_since(t0: float) -> str:
 
 
 def _compact(strategy) -> str:
-    return json.dumps(json.loads(io.serialize_strategy(strategy)), sort_keys=True)
+    """The strategy file's document on one line: one C-encoder ``json.dumps`` with sorted keys."""
+    return json.dumps(io._strategy_doc(strategy), sort_keys=True)
 
 
 def cmd_validate(args, game, pairs) -> int:

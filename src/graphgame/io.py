@@ -11,9 +11,14 @@ Game specs are JSON with exactly these keys:
     payoff        {"mode": "consistency"} or
                   {"mode": "target", "tables": {player: {bitstring: int}}}
 
-Parsing is strict: unknown keys are rejected.  Serialization is canonical
-(sorted keys, sorted entries, two-space indent) so parse -> serialize ->
-parse is the identity and content digests are stable.
+Parsing is strict: unknown keys and duplicate entries are rejected.
+Serialization is canonical, so parse -> serialize -> parse is the identity
+and content digests are stable.  The canonical text is exactly
+``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` of the spec's
+document, but ``serialize_game`` writes it directly, without building the
+document: strings go through json's C escaper, numbers are spelled as json
+spells them, and each list or object body is one ``str.join``.
+``game_digest`` is the sha256 of those bytes.
 
 Strategy files are JSON too: {"kind": "deterministic", "signs": [...]} or
 {"kind": "quantum", "angles": [...], "wiring": [...]}.
@@ -29,8 +34,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import re
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
 
 from .classical import DeterministicStrategy
@@ -159,6 +166,8 @@ def parse_game(text: str) -> GraphicGame:
                 player = int(player_key)
             except ValueError:
                 raise GameSpecError(f"target table player key {player_key!r} is not an integer")
+            if player in tables:
+                raise GameSpecError(f"duplicate target table for player {player} (key {player_key!r})")
             if not isinstance(table, dict):
                 raise GameSpecError(f"target table for player {player} must be an object")
             inner = {}
@@ -188,55 +197,83 @@ def parse_game_file(path) -> GraphicGame:
         return parse_game(fh.read())
 
 
+_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _scalar(v) -> str:
+    """A number or bool as ``json.dumps`` writes it: ``true``, ``1``, ``1.0``, ``NaN``, ``-Infinity``."""
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if v != v:
+        return "NaN"
+    return _INFINITIES.get(v) or float.__repr__(v)
+
+
+def _block(brackets: str, items, level: int) -> str:
+    """JSON ``items`` inside ``brackets``, one per line, as ``indent=2`` lays them out at ``level``."""
+    inner = "\n" + "  " * (level + 1)
+    body = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{body}\n{'  ' * level}{brackets[1]}" if body else brackets
+
+
+def _table(table: Mapping, level: int) -> str:
+    """A ``{string: number}`` object, keys sorted."""
+    return _block("{}", [f"{_quote(k)}: {_scalar(v)}" for k, v in sorted(table.items())], level)
+
+
 def serialize_game(game: GraphicGame) -> str:
-    assignments = [
-        {"player": i, "input": x, "vertices": sorted(verts)}
+    """The canonical spec text: ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, written directly."""
+    assignments = (
+        _block(
+            "{}",
+            (
+                f'"input": {_scalar(x)}',
+                f'"player": {_scalar(i)}',
+                '"vertices": ' + _block("[]", map(_quote, sorted(verts)), 3),
+            ),
+            2,
+        )
         for (i, x), verts in sorted(game.assignments.owned.items())
         if verts
-    ]
+    )
     if isinstance(game.distribution, IIDDistribution):
-        distribution = {"kind": "iid", "p": game.distribution.p}
+        distribution = ('"kind": "iid"', f'"p": {_scalar(game.distribution.p)}')
     else:
-        distribution = {
-            "kind": "joint",
-            "table": {k: v for k, v in sorted(game.distribution.table.items())},
-        }
+        distribution = ('"kind": "joint"', '"table": ' + _table(game.distribution.table, 2))
     if isinstance(game.payoff, ConsistencyPayoff):
-        payoff: dict = {"mode": "consistency"}
+        payoff: tuple = ('"mode": "consistency"',)
     else:
-        payoff = {
-            "mode": "target",
-            "tables": {
-                str(i): {k: v for k, v in sorted(t.items())}
-                for i, t in sorted(game.payoff.targets.tables.items())
-            },
-        }
-    doc = {
-        "vertices": list(game.graph.vertices),
-        "n": game.n,
-        "m": game.m,
-        "assignments": assignments,
-        "distribution": distribution,
-        "payoff": payoff,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        tables = sorted((str(i), t) for i, t in game.payoff.targets.tables.items())
+        payoff = ('"mode": "target"', '"tables": ' + _block("{}", (f'"{i}": {_table(t, 3)}' for i, t in tables), 2))
+    fields = (
+        '"assignments": ' + _block("[]", assignments, 1),
+        '"distribution": ' + _block("{}", distribution, 1),
+        f'"m": {_scalar(game.m)}',
+        f'"n": {_scalar(game.n)}',
+        '"payoff": ' + _block("{}", payoff, 1),
+        '"vertices": ' + _block("[]", map(_quote, game.graph.vertices), 1),
+    )
+    return _block("{}", fields, 0) + "\n"
 
 
 def game_digest(game: GraphicGame) -> str:
     return hashlib.sha256(serialize_game(game).encode("utf-8")).hexdigest()
 
 
-def serialize_strategy(strategy) -> str:
+def _strategy_doc(strategy) -> dict:
+    """The JSON document of a strategy file, before key sorting."""
     if isinstance(strategy, DeterministicStrategy):
-        doc = {
+        return {
             "kind": "deterministic",
             "signs": [
                 {"player": i, "input": x, "vertex": v, "sign": s}
                 for (i, x, v), s in sorted(strategy.signs.items())
             ],
         }
-    elif isinstance(strategy, QuantumStrategy):
-        doc = {
+    if isinstance(strategy, QuantumStrategy):
+        return {
             "kind": "quantum",
             "angles": [
                 {"player": i, "vertex": v, "input": x, "angle": a}
@@ -253,9 +290,11 @@ def serialize_strategy(strategy) -> str:
                 for (i, x, v), expr in sorted(strategy.wiring.items())
             ],
         }
-    else:
-        raise StrategyFileError(f"cannot serialize {type(strategy).__name__}")
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    raise StrategyFileError(f"cannot serialize {type(strategy).__name__}")
+
+
+def serialize_strategy(strategy) -> str:
+    return json.dumps(_strategy_doc(strategy), sort_keys=True, indent=2) + "\n"
 
 
 def _strategy_entries(data: Mapping, field: str, keys: set[str], where: str) -> list:
@@ -274,6 +313,15 @@ def _strategy_entries(data: Mapping, field: str, keys: set[str], where: str) -> 
     return entries
 
 
+def _unique_key(seen: Mapping, entry: Mapping, fields: tuple[str, ...], where: str) -> tuple:
+    """``entry``'s key, the values of ``fields``; a key already in ``seen`` is an error."""
+    key = tuple(entry[f] for f in fields)
+    if key in seen:
+        named = ", ".join(f"{f} {entry[f]!r}" for f in fields)
+        raise StrategyFileError(f"duplicate {where} for {named}")
+    return key
+
+
 def parse_strategy(text: str):
     data = _load_json(text, StrategyFileError)
     _require_keys(data, {"kind"}, {"signs", "angles", "wiring"}, "strategy", StrategyFileError)
@@ -283,13 +331,13 @@ def parse_strategy(text: str):
         for entry in _strategy_entries(data, "signs", {"player", "input", "vertex", "sign"}, "sign entry"):
             if entry["sign"] not in (1, -1):
                 raise StrategyFileError("signs must be +1 or -1")
-            signs[(entry["player"], entry["input"], entry["vertex"])] = entry["sign"]
+            signs[_unique_key(signs, entry, ("player", "input", "vertex"), "sign entry")] = entry["sign"]
         return DeterministicStrategy(signs=signs)
     if data["kind"] == "quantum":
         _require_keys(data, {"kind", "angles", "wiring"}, set(), "quantum strategy", StrategyFileError)
         angles = {}
         for entry in _strategy_entries(data, "angles", {"player", "vertex", "input", "angle"}, "angle entry"):
-            key = (entry["player"], entry["vertex"], entry["input"])
+            key = _unique_key(angles, entry, ("player", "vertex", "input"), "angle entry")
             angles[key] = _number(entry["angle"], f"angle of {key}", StrategyFileError)
         wiring = {}
         wiring_keys = {"player", "input", "vertex", "sign", "refs"}
@@ -299,7 +347,8 @@ def parse_strategy(text: str):
             refs = entry["refs"]
             if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
                 raise StrategyFileError("wiring refs must be a list of strings")
-            wiring[(entry["player"], entry["input"], entry["vertex"])] = OutputExpr(entry["sign"], tuple(refs))
+            key = _unique_key(wiring, entry, ("player", "input", "vertex"), "wiring entry")
+            wiring[key] = OutputExpr(entry["sign"], tuple(refs))
         return QuantumStrategy(angles=angles, wiring=wiring)
     raise StrategyFileError(f"unknown strategy kind {data['kind']!r}")
 

@@ -109,6 +109,19 @@ class AssignmentMap:
     def get(self, player: int, x: int) -> frozenset[str]:
         return self.owned.get((player, x), frozenset())
 
+    def _filled(self, n: int) -> AssignmentMap:
+        """A new map that also sends each absent ``(player, input)`` of players 1..n to the empty set.
+
+        Its sets are this map's, already normalised, so no vertex id is read again.
+        """
+        owned = dict(self.owned)
+        for i in range(1, n + 1):
+            for x in (0, 1):
+                owned.setdefault((i, x), frozenset())
+        filled = object.__new__(AssignmentMap)
+        object.__setattr__(filled, "owned", owned)
+        return filled
+
 
 @dataclass(frozen=True)
 class IIDDistribution:
@@ -176,11 +189,7 @@ class GraphicGame:
 
     def __post_init__(self) -> None:
         # Fill absent (player, input) keys so lookups are total.
-        owned = dict(self.assignments.owned)
-        for i in range(1, self.n + 1):
-            for x in (0, 1):
-                owned.setdefault((i, x), frozenset())
-        object.__setattr__(self, "assignments", AssignmentMap(owned))
+        object.__setattr__(self, "assignments", self.assignments._filled(self.n))
 
     def owned(self, player: int, x: int) -> frozenset[str]:
         return self.assignments.get(player, x)

@@ -7,7 +7,15 @@ from importlib import resources
 
 import pytest
 
-from graphgame import DeterministicStrategy, IIDDistribution, build_strategy, classical_value
+from graphgame import (
+    ConsistencyPayoff,
+    DeterministicStrategy,
+    IIDDistribution,
+    OptimizeOptions,
+    build_strategy,
+    classical_value,
+    optimize_quantum,
+)
 from graphgame import cli, games
 from graphgame import io as ggio
 
@@ -92,6 +100,15 @@ class TestValidate:
         assert code == 3
         assert ggio.validate_report(text) == []
 
+    def test_duplicate_target_table_exits_3(self, tmp_path):
+        spec = tmp_path / "two_tables.game"
+        text = resources.files("graphgame").joinpath("fixtures/gyni3.game").read_text()
+        spec.write_text(text.replace('"2": {', '"01": {', 1))
+        code, text = run("gyni", str(spec))
+        assert code == 3
+        assert ggio.validate_report(text) == []
+        assert "duplicate target table for player 1" in report_dict(text)["error"]
+
     def test_parse_failure_exits_3(self, tmp_path):
         bad = tmp_path / "broken.game"
         bad.write_text("{ not json")
@@ -112,6 +129,18 @@ class TestPipeline:
         assert report["status"] == "error"
         assert report["error"] == f"no such file: {argv[1]}"
         assert "game_digest" not in report
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, b in games.FIXTURES.items() if isinstance(b().payoff, ConsistencyPayoff))
+)
+def test_compact_strategy_is_the_strategy_file_on_one_line(name):
+    game = games.FIXTURES[name]()
+    _, witness = classical_value(game)
+    optimized = optimize_quantum(game, OptimizeOptions(restarts=1, allow_multiway=True)).strategy
+    for strategy in (witness, optimized):
+        one_line = json.dumps(json.loads(ggio.serialize_strategy(strategy)), sort_keys=True)
+        assert cli._compact(strategy) == one_line
 
 
 def untimed(text: str) -> list[str]:
@@ -351,6 +380,16 @@ class TestSimulate:
         assert code == 5
         assert ggio.validate_report(text) == []
         assert report_dict(text)["error"].startswith("bad strategy file: ")
+
+    def test_duplicate_strategy_entry_exits_5(self, tmp_path):
+        _, witness = classical_value(games.chsh_game())
+        doc = json.loads(ggio.serialize_strategy(witness))
+        doc["signs"].append({**doc["signs"][0], "sign": -doc["signs"][0]["sign"]})
+        strategy_file = tmp_path / "twice.strategy"
+        strategy_file.write_text(json.dumps(doc))
+        code, text = run("simulate", fixture_path("chsh"), "--strategy", str(strategy_file))
+        assert code == 5
+        assert report_dict(text)["error"].startswith("bad strategy file: duplicate sign entry")
 
     def test_missing_strategy_exits_5(self):
         code, _ = run("simulate", fixture_path("chsh"), "--strategy", "/no/such/file")

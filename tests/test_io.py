@@ -2,14 +2,81 @@ import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
-from graphgame import build_strategy, classical_value
+from graphgame import build_strategy, classical_value, model
 from graphgame import games, io
+from graphgame.model import (
+    AssignmentMap,
+    ConsistencyPayoff,
+    Graph,
+    GraphicGame,
+    IIDDistribution,
+    JointDistribution,
+    TargetFunction,
+    TargetPayoff,
+)
+
+from _oracles import random_game, random_target_game
 
 
 def fixture_text(name: str) -> str:
     return resources.files("graphgame").joinpath(f"fixtures/{name}.game").read_text()
+
+
+_HOSTILE_IDS = ['say "hi"', "back\\slash", "ctl\x00\x1f\n\t", "caf\u00e9", "\u2603", "\ud800", "[]{},:", "", " "]
+_ODD_NUMBERS = [0.5, math.nan, math.inf, -math.inf, 1, 0, -0.0, 1e-300, True]
+
+
+def hostile_game(rng: np.random.Generator) -> GraphicGame:
+    """A game, valid or not, built to stress the spec writer.
+
+    Vertex ids need escapes or are non-ASCII; priors and table entries may be
+    NaN, infinite, int- or bool-valued; vertex lists, joint tables and target
+    tables may be empty; up to 11 players make target keys sort as strings.
+    """
+
+    def pick(seq, k):
+        return [seq[j] for j in rng.permutation(len(seq))[:k]]
+
+    def number():
+        return _ODD_NUMBERS[int(rng.integers(len(_ODD_NUMBERS)))]
+
+    vertices = pick(_HOSTILE_IDS, int(rng.integers(len(_HOSTILE_IDS) + 1)))
+    n = int(rng.integers(1, 12))
+    owned = {
+        (i, x): pick(vertices, int(rng.integers(len(vertices) + 1)))
+        for i in range(1, n + 1)
+        for x in (0, 1)
+        if rng.random() < 0.7
+    }
+    if rng.random() < 0.5:
+        distribution = IIDDistribution(number())
+    else:  # sparse, possibly empty
+        bits = min(n, 4)
+        distribution = JointDistribution(
+            {format(k, f"0{bits}b"): number() for k in range(2**bits) if rng.random() < 0.5}
+        )
+    if rng.random() < 0.5:
+        payoff = ConsistencyPayoff()
+    else:
+        values = [0, 1, 2**70, -3, True]
+        tables = {
+            i: {format(k, "03b"): values[int(rng.integers(len(values)))] for k in range(8) if rng.random() < 0.7}
+            for i in range(1, n + 1)
+            if rng.random() < 0.8
+        }
+        payoff = TargetPayoff(TargetFunction(tables))
+    return GraphicGame(Graph(vertices), n, int(rng.integers(n + 1)), AssignmentMap(owned), distribution, payoff)
+
+
+def generated_games() -> list[GraphicGame]:
+    rng = np.random.default_rng(2024)
+    out = [random_game(rng) for _ in range(100)] + [random_target_game(rng) for _ in range(100)]
+    out += [hostile_game(rng) for _ in range(200)]
+    out.append(GraphicGame(Graph([]), 2, 1, AssignmentMap({}), JointDistribution({}), TargetPayoff(TargetFunction({}))))
+    return out
 
 
 class TestGameRoundTrip:
@@ -29,6 +96,23 @@ class TestGameRoundTrip:
         g = games.chsh_game()
         assert io.game_digest(g) == io.game_digest(io.parse_game(io.serialize_game(g)))
         assert len(io.game_digest(g)) == 64
+
+    def test_writer_matches_indent_2_json(self):
+        for k, game in enumerate([b() for _, b in sorted(games.FIXTURES.items())] + generated_games()):
+            text = io.serialize_game(game)
+            assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text, k
+            assert json.loads(text)["vertices"] == list(game.graph.vertices), k
+
+    def test_parse_reads_each_vertex_id_once(self, monkeypatch):
+        calls = []
+        real = model._vertex_id
+        monkeypatch.setattr(model, "_vertex_id", lambda v: calls.append(v) or real(v))
+        for name in sorted(games.FIXTURES):
+            doc = json.loads(fixture_text(name))
+            calls.clear()
+            io.parse_game(fixture_text(name))
+            occurrences = doc["vertices"] + [v for e in doc["assignments"] for v in e["vertices"]]
+            assert sorted(calls) == sorted(occurrences), name
 
 
 class TestStrictParsing:
@@ -79,6 +163,11 @@ class TestStrictParsing:
         with pytest.raises(io.GameSpecError, match="joint probability for '11'"):
             io.parse_game(json.dumps(doc).replace('"@"', value))
 
+    def test_duplicate_target_table(self):
+        text = fixture_text("gyni3").replace('"2": {', '"01": {', 1)
+        with pytest.raises(io.GameSpecError, match="duplicate target table for player 1"):
+            io.parse_game(text)
+
     def test_target_values_must_be_integers(self):
         doc = json.loads(fixture_text("gyni3"))
         doc["payoff"]["tables"]["1"]["000"] = 0.5
@@ -121,6 +210,19 @@ class TestStrategyFiles:
         doc["angles"][0]["angle"] = "@"
         with pytest.raises(io.StrategyFileError, match="angle of"):
             io.parse_strategy(json.dumps(doc).replace('"@"', value))
+
+    @pytest.mark.parametrize(
+        "field, where", [("signs", "sign entry"), ("angles", "angle entry"), ("wiring", "wiring entry")]
+    )
+    def test_duplicate_entry_rejected(self, field, where):
+        if field == "signs":
+            _, strategy = classical_value(games.chsh_game())
+        else:
+            strategy, _ = build_strategy(games.chsh_game())
+        doc = json.loads(io.serialize_strategy(strategy))
+        doc[field].append(doc[field][-1])
+        with pytest.raises(io.StrategyFileError, match=f"duplicate {where} for player"):
+            io.parse_strategy(json.dumps(doc))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(io.StrategyFileError):

@@ -39,6 +39,14 @@ def make_game(owned, n, m, vertices, p=0.5):
     )
 
 
+def test_game_fills_absent_keys_without_touching_the_given_map():
+    given = AssignmentMap({(1, 0): ["a"], (2, 1): ["a"]})
+    game = GraphicGame(Graph(["a"]), 2, 1, given, IIDDistribution(0.5), ConsistencyPayoff())
+    assert set(given.owned) == {(1, 0), (2, 1)}
+    assert game.assignments.owned == {(1, 0): {"a"}, (1, 1): set(), (2, 0): set(), (2, 1): {"a"}}
+    assert game.assignments.owned[(1, 0)] is given.owned[(1, 0)]
+
+
 class TestValidate:
     def test_chsh_is_clean(self):
         assert validate_game(games.chsh_game()) == []
