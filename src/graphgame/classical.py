@@ -1,42 +1,39 @@
 """Exact classical game values by exhaustive deterministic-strategy search.
 
-The search space is reduced before enumeration: within one (player, input)
-vertex set, vertices are grouped by their membership signature across the
-other players' owned sets, because the referee only ever looks at products
-over such regions.  One representative sign per group is enumerated and the
-rest are pinned to +1, which preserves the optimum exactly.  Two further
-exact reductions apply: for a low-block player a group that lies in no
-constrained region is dropped outright, and for a high-block player such a
-group merely absorbs the total-product condition (the witness sets its
-representative to whatever sign restores the product to +1).  Player j's
-grouped codes number ``c_j = 2^(g_j0 + g_j1)``, for ``g_jx`` groups at input
-x.
+Player i's answer at input x is a pattern of ``h`` bits, one per owned
+vertex: vertex k of ``sorted(game.owned(i, x))`` is bit ``h-1-k`` (most
+significant first), set where the sign is -1.  The win factors come from
+the game's check table (``GraphicGame.checks``): each side of a check that
+applies at an input of nonzero weight becomes a mask over its player's
+bits, once per check key.  The search itself never restates the referee's
+conditions.
 
-The win factors come from the game's check table (``GraphicGame.checks``):
-each side of a check that applies at an input of nonzero weight becomes a
-mask over its player's group bits, once per check key, and a check with a
-side that holds an absorbing group is vacuous.  The search itself never
-restates the referee's conditions.
+Some checks can always be met.  A check is peeled when one of its sides
+holds a bit that no other live check's side holds at that (player, input):
+whatever the other bits, flipping that bit meets the check and changes no
+other live check.  Peeling repeats until no check qualifies.  It covers
+the vertices in no pair's region: a high-block player's total-product
+check is peeled on them, and a low-block player's are in no check at all.
 
-The referee reads player i's input-x pattern only through its parities on
-the masks of the non-vacuous sides, so two patterns with the same parities
-score the same everywhere.  The search walks one class of such patterns per
-code, ``2^k_ix`` classes for a mask span of rank ``k_ix``, and each class
-stands for its lowest pattern (see ``_pivots``).  Classes are numbered in
-the order of those patterns, so the lowest maximiser over classes is,
-pattern by pattern, the lowest maximiser over grouped codes.  Where the
-masks have full rank (stars, chain4, the shared games) the classes are the
-patterns; cube3's players keep 3 of their 4 bits at each input, 2^18 points
-for the 2^24 grouped ones.
+The referee then reads player i's input-x pattern only through its
+parities on the masks of the surviving checks, so two patterns with the
+same parities score the same everywhere.  The search walks one class of
+such patterns per code, ``2^k_ix`` classes for a mask span of rank
+``k_ix``, and each class stands for its lowest pattern (see ``_pivots``).
+cube3's players keep 3 of their 4 bits at each input, 2^18 points in all.
+The witness takes each class's lowest pattern and restores the peeled
+checks, last peeled first, by flipping each one's bit where it fails.
 
 The search then eliminates one responder player exactly.  Its code is a
 pair (input-0 class, input-1 class), and with every other player's code
 fixed, inputs where the responder sees 0 depend only on the first class and
 inputs where it sees 1 only on the second.  So its best response is the
 best input-0 class plus the best input-1 class, and the walk covers
-``prod_{j != r} 2^(k_j0 + k_j1) * (2^k_r0 + 2^k_r1)`` points.  The budget,
-``StrategySpaceError.space_size`` and the witness's ``index`` still refer to
-the grouped enumeration of ``prod_j c_j`` points.
+``prod_{j != r} 2^(k_j0 + k_j1) * (2^k_r0 + 2^k_r1)`` points.
+
+The budget and ``StrategySpaceError.space_size`` count a space read off the
+check table before any input is enumerated (see ``_space_size``); the class
+space never exceeds it.
 
 The module also carries the closed-form values used to cross-check the
 search on star-shaped and fully-shared games, the complementary-pair bound
@@ -53,6 +50,7 @@ from typing import Mapping
 import numpy as np
 
 from .model import (
+    CheckKey,
     ConsistencyPayoff,
     GraphGameError,
     GraphicGame,
@@ -88,8 +86,9 @@ class StrategySpaceError(GraphGameError):
 class DeterministicStrategy:
     """A full deterministic answer plan: a sign per (player, input, vertex).
 
-    ``index`` is the strategy's position in the grouped enumeration order,
-    kept so that tie-breaks and replays are reproducible.
+    ``index`` is the strategy's position in the class enumeration that
+    ``classical_value`` walks (player 1's code most significant), kept so
+    that tie-breaks and replays are reproducible.
     """
 
     signs: Mapping[tuple[int, int, str], int]
@@ -117,65 +116,21 @@ class ClosedFormParams:
             raise ValueError(f"p_star={self.p_star} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class _Enumeration:
-    """Reduced per-player choice spaces plus the tables the evaluator needs."""
+def _space_size(game: GraphicGame) -> int:
+    """2 to the number of vertex groups, read off the check table alone.
 
-    choices: tuple[int, ...]  # joint (input0, input1) patterns per player
-    group_bits: dict[tuple[int, int], int]
-    groups: dict[tuple[int, int], list[tuple[str, ...]]]
-    free_groups: dict[tuple[int, int], tuple[str, ...]]  # absorbing group, if any
-
-    @property
-    def space_size(self) -> int:
-        return math.prod(self.choices)
-
-    def side_mask(self, i: int, x: int, verts) -> int | None:
-        """Bits of player i's input-x groups that lie in ``verts``, MSB-first.
-
-        None when ``verts`` holds the absorbing group, whose sign can always
-        satisfy the check.
-        """
-        free = self.free_groups.get((i, x))
-        if free and free[0] in verts:
-            return None
-        g = self.group_bits[(i, x)]
-        return sum(1 << (g - 1 - k) for k, grp in enumerate(self.groups[(i, x)]) if grp[0] in verts)
-
-
-def _build_enumeration(game: GraphicGame) -> _Enumeration:
-    n, m = game.n, game.m
-    group_bits: dict[tuple[int, int], int] = {}
-    groups: dict[tuple[int, int], list[tuple[str, ...]]] = {}
-    free_groups: dict[tuple[int, int], tuple[str, ...]] = {}
-    # Every (player, input) set that holds each vertex.
-    holders: dict[str, set[tuple[int, int]]] = {}
-    for key, verts in game.assignments.owned.items():
-        for v in verts:
-            holders.setdefault(v, set()).add(key)
-
-    for i in range(1, n + 1):
-        relevant = {(j, xj) for j in range(1 if i > m else m + 1, n + 1) if j != i for xj in (0, 1)}
-        for x in (0, 1):
-            sigs: dict[frozenset[tuple[int, int]], list[str]] = {}
-            for v in sorted(game.owned(i, x)):
-                sigs.setdefault(frozenset(holders[v] & relevant), []).append(v)
-            free = sigs.pop(frozenset(), None)
-            if free and i > m:
-                # One sign free of every region: it can always restore the
-                # total product, so the product condition never binds.
-                free_groups[(i, x)] = tuple(free)
-            # Groups in order of their first vertex; a low-block group free of
-            # every region is dropped.
-            groups[(i, x)] = sorted(tuple(verts) for verts in sigs.values())
-            group_bits[(i, x)] = len(groups[(i, x)])
-
-    choices = tuple(
-        1 << (group_bits[(i, 0)] + group_bits[(i, 1)]) for i in range(1, n + 1)
-    )
-    return _Enumeration(
-        choices=choices, group_bits=group_bits, groups=groups, free_groups=free_groups
-    )
+    A group is the vertices of one (player, input) set that one nonempty set
+    of pair checks holds.  Every surviving mask at a (player, input) is a
+    union of its groups (a total-product check survives only where pair
+    regions cover the whole set), so the class space never exceeds this.
+    """
+    held: dict[tuple[int, int, str], set[CheckKey]] = {}
+    for key, (sides, _) in game.checks.items():
+        if key[0] != key[2]:
+            for i, x, region in sides:
+                for v in region:
+                    held.setdefault((i, x, v), set()).add(key)
+    return 1 << len({(i, x, frozenset(keys)) for (i, x, _), keys in held.items()})
 
 
 def _parity_sign(patterns: np.ndarray, mask: int) -> np.ndarray:
@@ -219,52 +174,88 @@ def _unpack(code: int, pivots: list[int]) -> int:
     return sum(low for k, low in enumerate(pivots) if code >> k & 1)
 
 
+_Read = list[tuple[int, int, int]]  # a check's sides as (player, input, mask)
+
+
 @dataclass(frozen=True)
 class _Quotient:
     """The referee's checks over the classes of patterns it can tell apart.
 
-    ``pivots[(i, x)]`` holds the pivot bits of player i's input-x patterns
-    (see ``_pivots``), and that (player, input) has ``2^bits[(i, x)]``
+    ``vertices[(i, x)]`` lists player i's input-x vertices in bit order (see
+    the module docstring).  ``peeled`` holds each peeled check's sides as
+    raw masks, its parity, and the (player, input, bit) that meets it, in
+    peel order.  ``pivots[(i, x)]`` holds the pivot bits of the surviving
+    masks (see ``_pivots``), and that (player, input) has ``2^bits[(i, x)]``
     classes, so player i has ``classes[i - 1]`` codes ``class0 << bits1 |
     class1``.  ``inputs`` holds each weighted input vector with its weight
-    and the keys of the non-vacuous checks that apply there, and
+    and the keys of the surviving checks that apply there, and
     ``checks[key]`` holds that check's sides as (player, input, mask over the
     class bits) and its parity.
     """
 
+    vertices: dict[tuple[int, int], list[str]]
+    peeled: list[tuple[_Read, int, int, int, int]]
     pivots: dict[tuple[int, int], list[int]]
     bits: dict[tuple[int, int], int]
     classes: tuple[int, ...]
-    inputs: list[tuple[float, tuple[int, ...], list[tuple[int, int, int, int]]]]
-    checks: dict[tuple[int, int, int, int], tuple[list[tuple[int, int, int]], int]]
+    inputs: list[tuple[float, tuple[int, ...], list[CheckKey]]]
+    checks: dict[CheckKey, tuple[_Read, int]]
 
 
-def _quotient(game: GraphicGame, enum: _Enumeration) -> _Quotient:
-    """The checks that apply at the weighted inputs, and the masks they read.
-
-    ``side_mask`` runs once per side of each such check.  A check with an
-    absorbing side reads nothing and is left out.
-    """
+def _quotient(game: GraphicGame) -> _Quotient:
+    """The checks that apply at the weighted inputs, peeled, over their classes."""
     inputs = [(w, x, _keys_at(game, x)) for x, w in weighted_inputs(game.distribution, game.n)]
-    applied = dict.fromkeys(key for _, _, keys in inputs for key in keys)
-    checks = {}
-    masks: dict[tuple[int, int], list[int]] = {key: [] for key in enum.group_bits}
-    for key in applied:
+    vertices = {(i, x): sorted(game.owned(i, x)) for i in game.players for x in (0, 1)}
+    bit_of = {
+        (i, x, v): 1 << (len(verts) - 1 - k)
+        for (i, x), verts in vertices.items()
+        for k, v in enumerate(verts)
+    }
+    live: dict[CheckKey, tuple[_Read, int]] = {}
+    for key in dict.fromkeys(key for _, _, keys in inputs for key in keys):
         sides, parity = game.checks[key]
-        read = [(i, xi, enum.side_mask(i, xi, verts)) for i, xi, verts in sides]
-        if all(mask is not None for _, _, mask in read):
-            checks[key] = (read, parity)
-            for i, xi, mask in read:
-                masks[(i, xi)].append(mask)
+        live[key] = ([(i, x, sum(bit_of[(i, x, v)] for v in verts)) for i, x, verts in sides], parity)
+    peeled = []
+    while True:
+        # The bits two or more live sides hold, per (player, input).  Peeling
+        # only frees bits, so a bit alone at the pass's start stays alone.
+        seen = dict.fromkeys(vertices, 0)
+        shared = dict(seen)
+        for read, _ in live.values():
+            for i, x, mask in read:
+                shared[(i, x)] |= seen[(i, x)] & mask
+                seen[(i, x)] |= mask
+        count = len(peeled)
+        for key, (read, parity) in list(live.items()):
+            for i, x, mask in read:
+                alone = mask & ~shared[(i, x)]
+                if alone:
+                    peeled.append((read, parity, i, x, alone & -alone))
+                    del live[key]
+                    break
+        if len(peeled) == count:
+            break
+    masks: dict[tuple[int, int], list[int]] = {key: [] for key in vertices}
+    for read, _ in live.values():
+        for i, x, mask in read:
+            masks[(i, x)].append(mask)
     pivots = {key: _pivots(ms) for key, ms in masks.items()}
     checks = {
-        key: ([(i, xi, _pack(mask, pivots[(i, xi)])) for i, xi, mask in read], parity)
-        for key, (read, parity) in checks.items()
+        key: ([(i, x, _pack(mask, pivots[(i, x)])) for i, x, mask in read], parity)
+        for key, (read, parity) in live.items()
     }
     inputs = [(w, x, [key for key in keys if key in checks]) for w, x, keys in inputs]
     bits = {key: len(p) for key, p in pivots.items()}
-    classes = tuple(1 << (bits[(i, 0)] + bits[(i, 1)]) for i in range(1, game.n + 1))
-    return _Quotient(pivots=pivots, bits=bits, classes=classes, inputs=inputs, checks=checks)
+    classes = tuple(1 << (bits[(i, 0)] + bits[(i, 1)]) for i in game.players)
+    return _Quotient(
+        vertices=vertices,
+        peeled=peeled,
+        pivots=pivots,
+        bits=bits,
+        classes=classes,
+        inputs=inputs,
+        checks=checks,
+    )
 
 
 def _responder(quotient: _Quotient) -> int:
@@ -282,39 +273,59 @@ def _responder(quotient: _Quotient) -> int:
     )
 
 
+def _strategy(quotient: _Quotient, flat: int) -> DeterministicStrategy:
+    """The strategy at index ``flat`` of the class enumeration.
+
+    Each class stands for its lowest pattern.  The peeled checks are then
+    restored, last peeled first: a check that fails gets its bit flipped,
+    which no surviving check and no check peeled after it holds.  Each sign
+    is -1 exactly where its pattern bit is set.
+    """
+    pattern = {}
+    for i, code in enumerate(np.unravel_index(flat, quotient.classes), 1):
+        c0, c1 = divmod(int(code), 1 << quotient.bits[(i, 1)])
+        pattern[(i, 0)] = _unpack(c0, quotient.pivots[(i, 0)])
+        pattern[(i, 1)] = _unpack(c1, quotient.pivots[(i, 1)])
+    for read, parity, i, x, bit in reversed(quotient.peeled):
+        if sum((pattern[(j, y)] & mask).bit_count() for j, y, mask in read) % 2 != parity:
+            pattern[(i, x)] ^= bit
+    signs = {
+        (i, x, v): -1 if pattern[(i, x)] >> (len(verts) - 1 - k) & 1 else 1
+        for (i, x), verts in quotient.vertices.items()
+        for k, v in enumerate(verts)
+    }
+    return DeterministicStrategy(signs=signs, index=flat)
+
+
 def classical_value(
     game: GraphicGame, budget: int = DEFAULT_STRATEGY_BUDGET
 ) -> tuple[float, DeterministicStrategy]:
     """Exact optimum over deterministic strategies, with an attaining witness.
 
-    The search walks class codes, not grouped codes (see the module
-    docstring): player i's code is ``class0 << k_i1 | class1``, for ``k_ix``
-    class bits at input x.  One responder player (see ``_responder``) is
-    eliminated exactly: with the other players' codes fixed, the inputs
-    where the responder sees 0 depend only on its input-0 class and the rest
-    only on its input-1 class.  So the search fills two accumulators over
-    the other players' grid, A over the input-0 class and B over the input-1
-    class, and each grid point scores ``max(A) + max(B)``.
+    The search walks class codes (see the module docstring): player i's code
+    is ``class0 << k_i1 | class1``, for ``k_ix`` class bits at input x.  One
+    responder player (see ``_responder``) is eliminated exactly: with the
+    other players' codes fixed, the inputs where the responder sees 0
+    depend only on its input-0 class and the rest only on its input-1 class.
+    So the search fills two accumulators over the other players' grid, A
+    over the input-0 class and B over the input-1 class, and each grid
+    point scores ``max(A) + max(B)``.
 
     Ties break toward the lowest index of the class enumeration (player 1's
-    code most significant).  Classes are ordered by their lowest patterns,
-    so its lowest maximiser maps, class by class, to the lowest maximiser of
-    the grouped enumeration (player 1's code most significant, each code
-    ``pattern0 << g1 | pattern1``), whose index the witness carries.  The
-    returned value is the witness's winning input weights summed in input
-    order.  Raises StrategySpaceError when the grouped space ``prod(c_j)``
-    exceeds ``budget``, and GraphGameError for fewer than two players.
+    code most significant), which the witness carries (see ``_strategy``).
+    The returned value is the witness's winning input weights summed in
+    input order.  Raises StrategySpaceError when ``_space_size`` exceeds
+    ``budget``, and GraphGameError for fewer than two players.
     """
     if not isinstance(game.payoff, ConsistencyPayoff):
         raise GraphGameError("classical_value requires a consistency-mode game")
     if game.n < 2:
         raise GraphGameError("classical_value needs at least two players")
-    enum = _build_enumeration(game)
-    size = enum.space_size
+    size = _space_size(game)
     if size > budget:
         raise StrategySpaceError(size, budget)
 
-    quotient = _quotient(game, enum)
+    quotient = _quotient(game)
     bits = quotient.bits
     classes = quotient.classes
     n = game.n
@@ -395,42 +406,7 @@ def classical_value(
     for w, _, keys in quotient.inputs:
         if all(holds[key] for key in keys):
             value += w
-    # Each class stands for its lowest pattern in the grouped enumeration.
-    flat = 0
-    for i, code in enumerate(enum.choices, 1):
-        pattern0, pattern1 = (_unpack(at[(i, x)], quotient.pivots[(i, x)]) for x in (0, 1))
-        flat = flat * code + (pattern0 << enum.group_bits[(i, 1)] | pattern1)
-    return value, _decode_strategy(game, enum, flat)
-
-
-def _decode_strategy(game: GraphicGame, enum: _Enumeration, flat: int) -> DeterministicStrategy:
-    coords = []
-    rem = flat
-    for c in reversed(enum.choices):
-        coords.append(rem % c)
-        rem //= c
-    coords.reverse()
-
-    signs: dict[tuple[int, int, str], int] = {}
-    for i in range(1, game.n + 1):
-        code = coords[i - 1]
-        g0 = enum.group_bits[(i, 0)]
-        g1 = enum.group_bits[(i, 1)]
-        patterns = {0: (code >> g1) & ((1 << g0) - 1), 1: code & ((1 << g1) - 1)}
-        for x in (0, 1):
-            for v in game.owned(i, x):
-                signs[(i, x, v)] = 1
-            g = enum.group_bits[(i, x)]
-            parity = 1
-            for k, verts in enumerate(enum.groups[(i, x)]):
-                s = -1 if (patterns[x] >> (g - 1 - k)) & 1 else 1
-                signs[(i, x, verts[0])] = s
-                parity *= s
-            free = enum.free_groups.get((i, x))
-            if free:
-                # Restore the high-block total product to +1.
-                signs[(i, x, free[0])] = parity
-    return DeterministicStrategy(signs=signs, index=flat)
+    return value, _strategy(quotient, best_flat)
 
 
 def strategy_value(game: GraphicGame, strategy: DeterministicStrategy) -> float:

@@ -99,6 +99,20 @@ def _number(value: object, what: str, error_cls) -> float:
         raise error_cls(f"{what} is too large for a float") from None
 
 
+def _is_bit(value: object) -> bool:
+    """True for the JSON integers 0 and 1 only, not for ``0.0``, ``1.0``, ``false`` or ``true``."""
+    return type(value) is int and value in (0, 1)
+
+
+def _read_text(path, error_cls) -> str:
+    """The text of the UTF-8 file at ``path``; ``error_cls`` when its bytes are not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error_cls(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def parse_game(text: str) -> GraphicGame:
     data = _load_json(text, GameSpecError)
     _require_keys(
@@ -124,7 +138,7 @@ def parse_game(text: str) -> GraphicGame:
         i, x = entry["player"], entry["input"]
         if not isinstance(i, int) or isinstance(i, bool):
             raise GameSpecError("assignment player must be an integer")
-        if x not in (0, 1):
+        if not _is_bit(x):
             raise GameSpecError("assignment input must be 0 or 1")
         if not isinstance(entry["vertices"], list) or not all(
             isinstance(v, str) for v in entry["vertices"]
@@ -193,8 +207,7 @@ def parse_game(text: str) -> GraphicGame:
 
 
 def parse_game_file(path) -> GraphicGame:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_game(fh.read())
+    return parse_game(_read_text(path, GameSpecError))
 
 
 _INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
@@ -306,7 +319,7 @@ def _strategy_entries(data: Mapping, field: str, keys: set[str], where: str) -> 
         _require_keys(entry, keys, set(), where, StrategyFileError)
         if not isinstance(entry["player"], int) or isinstance(entry["player"], bool):
             raise StrategyFileError(f"{where} player must be an integer")
-        if entry["input"] not in (0, 1):
+        if not _is_bit(entry["input"]):
             raise StrategyFileError(f"{where} input must be 0 or 1")
         if not isinstance(entry["vertex"], str):
             raise StrategyFileError(f"{where} vertex must be a string")
@@ -354,8 +367,7 @@ def parse_strategy(text: str):
 
 
 def parse_strategy_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_strategy(fh.read())
+    return parse_strategy(_read_text(path, StrategyFileError))
 
 
 def fmt_float(x: float) -> str:

@@ -5,10 +5,9 @@ from the code under test: a dense 4-dimensional statevector simulation of
 one entangled pair and a whole-game statevector simulation of up to four,
 an enumeration of every measured-outcome tuple through the reference
 referee, a direct subset-enumeration of the sharing index, an ungrouped
-brute-force classical value, a walk over the whole grouped classical
-strategy space, an exact-fraction response search and a table-by-table
-exhaustive value for target games, and tiny random-game and random-strategy
-generators for property tests.
+brute-force classical value, an exact-fraction response search and a
+table-by-table exhaustive value for target games, and tiny random-game and
+random-strategy generators for property tests.
 """
 
 from __future__ import annotations
@@ -30,14 +29,12 @@ from graphgame import (
     TargetFunction,
     TargetPayoff,
 )
-from graphgame.classical import _build_enumeration, _decode_strategy, strategy_value
 from graphgame.model import (
     OutputAssignment,
     bits_key,
     evaluate_payoff,
     input_vectors,
     input_weight,
-    weighted_inputs,
 )
 from graphgame.quantum import OutputExpr
 
@@ -251,59 +248,6 @@ def brute_force_scores(game: GraphicGame) -> np.ndarray:
 
 def brute_force_classical_value(game: GraphicGame) -> float:
     return float(brute_force_scores(game).max())
-
-
-def grouped_classical_value(game: GraphicGame):
-    """Exact classical value and witness from a walk over every grouped code.
-
-    Player i's codes are all ``2^(g_i0 + g_i1)`` sign patterns of its
-    groups (``classical._build_enumeration``), code ``pattern0 << g1 |
-    pattern1``.  The player with the most group bits (the lowest on ties)
-    responds: at each point of the other players' grid, its best input-0
-    pattern and best input-1 pattern score separately, in two accumulators
-    over its patterns.  The witness is the lowest index of the grouped
-    enumeration among the maximisers, and the value is its score through
-    ``strategy_value``.
-    """
-    enum = _build_enumeration(game)
-    n, bits = game.n, enum.group_bits
-    r = min(range(n), key=lambda a: 2.0 ** -bits[(a + 1, 0)] + 2.0 ** -bits[(a + 1, 1)])
-    others = [a for a in range(n) if a != r]
-
-    def sign(i, x, verts):
-        # Player i's sign product over ``verts`` along its axis, or None
-        # when an absorbing group makes the check vacuous.
-        mask = enum.side_mask(i, x, verts)
-        if mask is None:
-            return None
-        if i - 1 == r:
-            pattern, axis = np.arange(1 << bits[(i, x)]), n - 1
-        else:
-            codes, low = np.arange(enum.choices[i - 1]), bits[(i, 1)]
-            pattern = codes >> low if x == 0 else codes & ((1 << low) - 1)
-            axis = others.index(i - 1)
-        dims = [1] * n
-        dims[axis] = len(pattern)
-        return (1 - 2 * (np.bitwise_count(pattern & mask) % 2).astype(int)).reshape(dims)
-
-    grid = [enum.choices[a] for a in others]
-    acc = [np.zeros(grid + [1 << bits[(r + 1, x)]]) for x in (0, 1)]
-    for x, w in weighted_inputs(game.distribution, n):
-        won = True
-        for (i, xi, j, xj), (sides, parity) in game.checks.items():
-            if (x[i - 1], x[j - 1]) != (xi, xj):
-                continue
-            signs = [sign(*side) for side in sides]
-            if all(s is not None for s in signs):
-                won = won & (math.prod(signs) == 1 - 2 * parity)
-        np.add(acc[x[r]], w, out=acc[x[r]], where=won)
-    scores = acc[0].max(-1) + acc[1].max(-1)
-    hits = np.flatnonzero(scores == scores.max())
-    coords = list(np.unravel_index(hits, grid))
-    p0, p1 = (a.reshape(-1, a.shape[-1])[hits].argmax(-1) for a in acc)
-    coords.insert(r, (p0 << bits[(r + 1, 1)]) | p1)
-    witness = _decode_strategy(game, enum, int(np.ravel_multi_index(coords, enum.choices).min()))
-    return strategy_value(game, witness), witness
 
 
 def random_game(rng: np.random.Generator, max_vertices: int = 4) -> GraphicGame:

@@ -26,18 +26,16 @@ from graphgame import (
 from graphgame import classical, games
 from graphgame.classical import (
     DEFAULT_STRATEGY_BUDGET,
-    _build_enumeration,
-    _decode_strategy,
-    _pack,
     _quotient,
     _responder,
+    _space_size,
+    _strategy,
 )
 
 from _oracles import (
     brute_force_classical_value,
     brute_force_scores,
     exhaustive_target_value,
-    grouped_classical_value,
     random_game,
     random_target_tables,
     sign_slots,
@@ -46,13 +44,30 @@ from _oracles import (
 _STAR_GRID = ((2, (0.2, 0.5, 0.8)), (3, (0.2, 0.5, 0.8)), (7, (0.3, 0.8)))
 _SHARED_GRID = ((3, (0.2, 0.5, 0.8)), (4, (0.2, 0.5, 0.8)))
 
+# log2 of StrategySpaceError.space_size at budget=0, as the grouped
+# enumeration counted it before the search read the check table directly.
+_SPACE_BITS = {
+    "fixture chsh": 6,
+    "fixture star3": 8,
+    "fixture star4": 12,
+    "fixture cube3": 24,
+    "fixture chain4": 12,
+    "fixture shared3": 6,
+    "fixture trivial": 0,
+    "fixture disconnected": 4,
+    **{f"star{n1}": 4 * (n1 - 1) for n1 in range(2, 8)},
+    "chain4": 12,
+    **{f"shared{l}": 2 * l for l in (3, 4, 5)},
+}
+
 
 def _tie_cases():
     # Dyadic priors keep every sum exact, so ties are exact.  The search
     # eliminates the star hub (axis 0), a chain4 middle station (axis 1) and
     # chsh's last player; several of these have their first maximiser at a
-    # nonzero index.  The last eight games walk fewer classes than grouped
-    # codes, so their witnesses go through the class representatives.
+    # nonzero index.  The last eight games peel a check and keep fewer class
+    # bits than raw vertex bits, so their witnesses go through the class
+    # representatives and the restore.
     return (
         [
             games.chsh_game(),
@@ -78,9 +93,9 @@ def _small_random_games(seed: int, count: int, max_slots: int = 14, shrunk: bool
 
 
 def _shrinks(game) -> bool:
-    """True when the search walks fewer class codes than grouped codes."""
-    enum = _build_enumeration(game)
-    return math.prod(_quotient(game, enum).classes) < enum.space_size
+    """True when the search peels a check and walks fewer classes than raw patterns."""
+    quotient = _quotient(game)
+    return bool(quotient.peeled) and math.prod(quotient.classes) < 1 << len(sign_slots(game))
 
 
 def _last_row_game():
@@ -104,14 +119,9 @@ def _witness_row(game, witness) -> tuple[int, int]:
 
     Rows are the class codes of the first player that does not respond.
     """
-    enum = _build_enumeration(game)
-    quotient = _quotient(game, enum)
+    quotient = _quotient(game)
     a = 1 if _responder(quotient) == 0 else 0
-    code = int(np.unravel_index(witness.index, enum.choices)[a])
-    g1 = enum.group_bits[(a + 1, 1)]
-    c0 = _pack(code >> g1, quotient.pivots[(a + 1, 0)])
-    c1 = _pack(code & ((1 << g1) - 1), quotient.pivots[(a + 1, 1)])
-    return c0 << quotient.bits[(a + 1, 1)] | c1, quotient.classes[a]
+    return int(np.unravel_index(witness.index, quotient.classes)[a]), quotient.classes[a]
 
 
 class TestClassicalValue:
@@ -144,31 +154,46 @@ class TestClassicalValue:
         assert err.value.space_size > 16
         assert err.value.budget == 16
 
+    def test_space_sizes_hold(self):
+        named = (
+            [(f"fixture {name}", build()) for name, build in games.FIXTURES.items()]
+            + [(f"star{n1}", games.star_game(n1, p=0.3)) for n1 in range(2, 8)]
+            + [("chain4", games.chain_game()), *((f"shared{l}", games.shared_game(l)) for l in (3, 4, 5))]
+        )
+        named = [(name, g) for name, g in named if isinstance(g.payoff, ConsistencyPayoff)]
+        assert {name for name, _ in named} == set(_SPACE_BITS)
+        for name, g in named:
+            with pytest.raises(StrategySpaceError) as err:
+                classical_value(g, budget=0)
+            assert err.value.space_size == 1 << _SPACE_BITS[name], name
+
     def test_ties_break_to_lowest_index(self):
-        # The witness must be the first point of the full reduced enumeration
-        # that scores the maximum, whichever player the search eliminates.
+        # The witness must be the first point of the class enumeration that
+        # scores the maximum, whichever player the search eliminates.
         for g in _tie_cases():
             scores = brute_force_scores(g)
             slots = sign_slots(g)
-            enum = _build_enumeration(g)
+            quotient = _quotient(g)
             value, witness = classical_value(g)
             assert value == scores.max()
+            assert witness.signs == _strategy(quotient, witness.index).signs
 
             def score(k):
-                signs = _decode_strategy(g, enum, k).signs
+                signs = _strategy(quotient, k).signs
                 code = 0
                 for slot in slots:
                     code = 2 * code + (signs[slot] == -1)
                 return scores[code]
 
-            assert witness.index == next(k for k in range(enum.space_size) if score(k) == value)
+            first = next(k for k in range(math.prod(quotient.classes)) if score(k) == value)
+            assert witness.index == first
 
     def test_blocks_keep_value_and_witness(self, monkeypatch):
-        # One-row blocks must find what the grouped walk finds, also when
-        # the only optimum lies in the last row.
+        # One-row blocks must find what the whole grid finds, also when the
+        # only optimum lies in the last row.
         last = _last_row_game()
         cases = _tie_cases() + [games.cube_game(3, p=0.3), last]
-        reference = [grouped_classical_value(g) for g in cases]
+        reference = [classical_value(g) for g in cases]
         value, witness = reference[-1]
         scores = brute_force_scores(last)
         bit = len(sign_slots(last)) - 1 - sign_slots(last).index((1, 1, "v"))
@@ -181,24 +206,42 @@ class TestClassicalValue:
             got, blocked = classical_value(g)
             assert (got, blocked.index, blocked.signs) == (value, witness.index, witness.signs)
 
-    def test_matches_grouped_walk(self):
-        # The class walk must return the grouped walk's exact value, witness
-        # index and signs; enough of the games must walk fewer classes than
-        # grouped codes for the comparison to test the quotient at all.
+    def test_matches_brute_force_closed_forms_and_referee(self):
+        # Every value is its witness's value through the referee, bit for
+        # bit; it is the brute-force optimum wherever that is in reach, and
+        # the closed form on the star and shared grids.  The class space
+        # never exceeds the budgeted one, and is smaller on enough games for
+        # the comparisons to test the quotient at all.
         rng = np.random.default_rng(2)
+        grids = [
+            (games.star_game(n1, p=p), closed_form_star_classical(ClosedFormParams(p=p, n1=n1)))
+            for n1, priors in _STAR_GRID
+            for p in priors
+        ] + [
+            (games.shared_game(l, p=p), closed_form_shared_classical(ClosedFormParams(p=p, l=l)))
+            for l, priors in _SHARED_GRID
+            for p in priors
+        ]
         cases = (
-            [build() for build in games.FIXTURES.values()]
-            + [games.star_game(n1, p=p) for n1, priors in _STAR_GRID for p in priors]
-            + [games.shared_game(l, p=p) for l, priors in _SHARED_GRID for p in priors]
-            + [random_game(rng, max_vertices=5) for _ in range(300)]
+            [(build(), None) for build in games.FIXTURES.values()]
+            + grids
+            + [(random_game(rng, max_vertices=5), None) for _ in range(300)]
         )
-        cases = [g for g in cases if isinstance(g.payoff, ConsistencyPayoff)]
-        for g in cases:
+        fewer = 0
+        for g, closed in cases:
+            if not isinstance(g.payoff, ConsistencyPayoff):
+                continue
             value, witness = classical_value(g)
-            reference, expected = grouped_classical_value(g)
-            assert (value, witness.index, witness.signs) == (reference, expected.index, expected.signs)
-        assert "cube3" in games.FIXTURES and _shrinks(games.cube_game(3))
-        assert sum(_shrinks(g) for g in cases) >= 10
+            assert strategy_value(g, witness) == value
+            if closed is not None:
+                assert value == pytest.approx(closed, abs=1e-12)
+            if len(sign_slots(g)) <= 16:
+                assert value == pytest.approx(brute_force_scores(g).max(), abs=1e-12)
+            class_bits = sum(_quotient(g).bits.values())
+            space_bits = _space_size(g).bit_length() - 1
+            assert class_bits <= space_bits
+            fewer += class_bits < space_bits
+        assert fewer >= 10
 
     def test_matches_ungrouped_brute_force(self):
         rng = np.random.default_rng(44)
@@ -214,7 +257,7 @@ class TestClassicalValue:
     def test_responder_saves_the_most(self):
         # The hub on stars, the first middle station on chain4.
         for g, axis in ((games.star_game(5), 0), (games.chain_game(), 1)):
-            assert _responder(_quotient(g, _build_enumeration(g))) == axis
+            assert _responder(_quotient(g)) == axis
 
     def test_needs_two_players(self):
         solo = GraphicGame(

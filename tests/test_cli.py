@@ -116,6 +116,26 @@ class TestValidate:
         assert code == 3
         assert "line" in report_dict(text)["error"]
 
+    @pytest.mark.parametrize("value", ["0.0", "true"])
+    def test_non_integer_input_exits_3(self, value, tmp_path):
+        doc = json.loads(resources.files("graphgame").joinpath("fixtures/chsh.game").read_text())
+        doc["assignments"][0]["input"] = "@"
+        spec = tmp_path / "float_input.game"
+        spec.write_text(json.dumps(doc).replace('"@"', value))
+        code, text = run("validate", str(spec))
+        assert code == 3
+        assert ggio.validate_report(text) == []
+        assert report_dict(text)["error"] == "parse error: assignment input must be 0 or 1"
+
+    def test_non_utf8_spec_exits_3(self, tmp_path):
+        raw = resources.files("graphgame").joinpath("fixtures/chsh.game").read_bytes()
+        spec = tmp_path / "latin.game"
+        spec.write_bytes(raw.replace(b'"v1"', b'"v\xff"'))
+        code, text = run("validate", str(spec))
+        assert code == 3
+        assert ggio.validate_report(text) == []
+        assert report_dict(text)["error"].startswith("parse error: not UTF-8 text")
+
 
 class TestPipeline:
     @pytest.mark.parametrize("command", ["validate", "classify", "value", "simulate", "gyni"])
@@ -362,7 +382,15 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("signs", 5), ("angles", None), ("refs", 5), ("player", [1]), ("vertex", ["v"])],
+        [
+            ("signs", 5),
+            ("angles", None),
+            ("refs", 5),
+            ("player", [1]),
+            ("vertex", ["v"]),
+            ("input", 0.0),
+            ("input", True),
+        ],
     )
     def test_malformed_strategy_file_exits_5(self, field, value, tmp_path):
         if field == "signs":
@@ -380,6 +408,15 @@ class TestSimulate:
         assert code == 5
         assert ggio.validate_report(text) == []
         assert report_dict(text)["error"].startswith("bad strategy file: ")
+
+    def test_non_utf8_strategy_exits_5(self, tmp_path):
+        _, witness = classical_value(games.chsh_game())
+        strategy_file = tmp_path / "latin.strategy"
+        strategy_file.write_bytes(ggio.serialize_strategy(witness).encode().replace(b'"v1"', b'"v\xff"'))
+        code, text = run("simulate", fixture_path("chsh"), "--strategy", str(strategy_file))
+        assert code == 5
+        assert ggio.validate_report(text) == []
+        assert report_dict(text)["error"].startswith("bad strategy file: not UTF-8 text")
 
     def test_duplicate_strategy_entry_exits_5(self, tmp_path):
         _, witness = classical_value(games.chsh_game())

@@ -143,6 +143,13 @@ class TestStrictParsing:
         else:
             raise AssertionError("expected GameSpecError")
 
+    @pytest.mark.parametrize("value", ["0.0", "1.0", "true", "false", "2"])
+    def test_assignment_input_must_be_an_integer_bit(self, value):
+        doc = json.loads(fixture_text("chsh"))
+        doc["assignments"][0]["input"] = "@"
+        with pytest.raises(io.GameSpecError, match="assignment input must be 0 or 1"):
+            io.parse_game(json.dumps(doc).replace('"@"', value))
+
     def test_omitted_assignments_mean_empty(self):
         doc = json.loads(fixture_text("chsh"))
         doc["assignments"] = [e for e in doc["assignments"] if e["player"] != 1]
@@ -202,6 +209,18 @@ class TestStrategyFiles:
                     }
                 )
             )
+
+    @pytest.mark.parametrize("field", ["signs", "angles", "wiring"])
+    @pytest.mark.parametrize("value", ["0.0", "1.0", "true", "false"])
+    def test_input_must_be_an_integer_bit(self, field, value):
+        if field == "signs":
+            _, strategy = classical_value(games.chsh_game())
+        else:
+            strategy, _ = build_strategy(games.chsh_game())
+        doc = json.loads(io.serialize_strategy(strategy))
+        doc[field][0]["input"] = "@"
+        with pytest.raises(io.StrategyFileError, match="input must be 0 or 1"):
+            io.parse_strategy(json.dumps(doc).replace('"@"', value))
 
     @pytest.mark.parametrize("value", ["1" + "0" * 400, '"abc"', '"0.5"'])
     def test_angles_must_be_floats(self, value):
