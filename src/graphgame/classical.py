@@ -4,9 +4,9 @@ Player i's answer at input x is a pattern of ``h`` bits, one per owned
 vertex: vertex k of ``sorted(game.owned(i, x))`` is bit ``h-1-k`` (most
 significant first), set where the sign is -1.  The win factors come from
 the game's check table (``GraphicGame.checks``): each side of a check that
-applies at an input of nonzero weight becomes a mask over its player's
-bits, once per check key.  The search itself never restates the referee's
-conditions.
+applies at an input of nonzero weight (``GraphicGame.inputs``) becomes a
+mask over its player's bits, once per check key.  The search itself never
+restates the referee's conditions.
 
 Some checks can always be met.  A check is peeled when one of its sides
 holds a bit that no other live check's side holds at that (player, input):
@@ -57,7 +57,6 @@ from .model import (
     InputDistribution,
     TargetFunction,
     TargetPayoff,
-    _keys_at,
     bits_key,
     input_vectors,
     input_weight,
@@ -204,7 +203,6 @@ class _Quotient:
 
 def _quotient(game: GraphicGame) -> _Quotient:
     """The checks that apply at the weighted inputs, peeled, over their classes."""
-    inputs = [(w, x, _keys_at(game, x)) for x, w in weighted_inputs(game.distribution, game.n)]
     vertices = {(i, x): sorted(game.owned(i, x)) for i in game.players for x in (0, 1)}
     bit_of = {
         (i, x, v): 1 << (len(verts) - 1 - k)
@@ -212,7 +210,7 @@ def _quotient(game: GraphicGame) -> _Quotient:
         for k, v in enumerate(verts)
     }
     live: dict[CheckKey, tuple[_Read, int]] = {}
-    for key in dict.fromkeys(key for _, _, keys in inputs for key in keys):
+    for key in dict.fromkeys(key for _, _, keys in game.inputs for key in keys):
         sides, parity = game.checks[key]
         live[key] = ([(i, x, sum(bit_of[(i, x, v)] for v in verts)) for i, x, verts in sides], parity)
     peeled = []
@@ -244,7 +242,7 @@ def _quotient(game: GraphicGame) -> _Quotient:
         key: ([(i, x, _pack(mask, pivots[(i, x)])) for i, x, mask in read], parity)
         for key, (read, parity) in live.items()
     }
-    inputs = [(w, x, [key for key in keys if key in checks]) for w, x, keys in inputs]
+    inputs = [(w, x, [key for key in keys if key in checks]) for x, w, keys in game.inputs]
     bits = {key: len(p) for key, p in pivots.items()}
     classes = tuple(1 << (bits[(i, 0)] + bits[(i, 1)]) for i in game.players)
     return _Quotient(
@@ -414,7 +412,7 @@ def strategy_value(game: GraphicGame, strategy: DeterministicStrategy) -> float:
     from .model import OutputAssignment, evaluate_payoff
 
     total = 0.0
-    for x, w in weighted_inputs(game.distribution, game.n):
+    for x, w, _ in game.inputs:
         values = {
             (i, v): strategy.signs[(i, x[i - 1], v)]
             for i in game.players

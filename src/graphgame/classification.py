@@ -199,16 +199,12 @@ def independence_number(game: GraphicGame, budget: int = DEFAULT_PLAYER_BUDGET) 
     """
     if game.n > budget:
         raise PlayerBudgetError(f"{game.n} players exceeds the exact-search budget {budget}")
+    # Two players share a vertex at some input pair iff they co-own it.
     adjacent: dict[int, set[int]] = {i: set() for i in game.players}
-    for i in game.players:
-        for j in range(i + 1, game.n + 1):
-            if any(
-                game.owned(i, xi) & game.owned(j, xj)
-                for xi in (0, 1)
-                for xj in (0, 1)
-            ):
-                adjacent[i].add(j)
-                adjacent[j].add(i)
+    for who in game.owners.values():
+        for i, j in combinations(who, 2):
+            adjacent[i].add(j)
+            adjacent[j].add(i)
 
     best = 0
 

@@ -105,12 +105,17 @@ def _is_bit(value: object) -> bool:
 
 
 def _read_text(path, error_cls) -> str:
-    """The text of the UTF-8 file at ``path``; ``error_cls`` when its bytes are not UTF-8."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The text of the UTF-8 file at ``path``; ``error_cls`` when it cannot be
+    read (a directory, say) or is not UTF-8, FileNotFoundError when it is missing."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-        except UnicodeDecodeError as exc:
-            raise error_cls(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except UnicodeDecodeError as exc:
+        raise error_cls(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise error_cls(f"cannot read file: {exc.strerror or exc}") from None
 
 
 def parse_game(text: str) -> GraphicGame:
@@ -323,6 +328,8 @@ def _strategy_entries(data: Mapping, field: str, keys: set[str], where: str) -> 
             raise StrategyFileError(f"{where} input must be 0 or 1")
         if not isinstance(entry["vertex"], str):
             raise StrategyFileError(f"{where} vertex must be a string")
+        if "sign" in keys and not (type(entry["sign"]) is int and entry["sign"] in (1, -1)):
+            raise StrategyFileError(f"{where} sign must be the integer 1 or -1")
     return entries
 
 
@@ -342,8 +349,6 @@ def parse_strategy(text: str):
         _require_keys(data, {"kind", "signs"}, set(), "deterministic strategy", StrategyFileError)
         signs = {}
         for entry in _strategy_entries(data, "signs", {"player", "input", "vertex", "sign"}, "sign entry"):
-            if entry["sign"] not in (1, -1):
-                raise StrategyFileError("signs must be +1 or -1")
             signs[_unique_key(signs, entry, ("player", "input", "vertex"), "sign entry")] = entry["sign"]
         return DeterministicStrategy(signs=signs)
     if data["kind"] == "quantum":
@@ -355,8 +360,6 @@ def parse_strategy(text: str):
         wiring = {}
         wiring_keys = {"player", "input", "vertex", "sign", "refs"}
         for entry in _strategy_entries(data, "wiring", wiring_keys, "wiring entry"):
-            if entry["sign"] not in (1, -1):
-                raise StrategyFileError("wiring signs must be +1 or -1")
             refs = entry["refs"]
             if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
                 raise StrategyFileError("wiring refs must be a list of strings")

@@ -22,20 +22,25 @@ vertices is exactly the CHSH predicate.
 
 Every condition says that a product of signs has a fixed parity, so each is
 a GF(2) constraint, and a check reads only two players and their two input
-bits.  ``GraphicGame.checks`` states each check once, keyed by those players
-and bits, and applies it at every input that matches its key; both exact
-solvers (the classical search and the quantum correlator polynomial), the
-simulator and the classifier's sharing test read that one table.
-``evaluate_payoff`` scores a round on its own, as the independent reference
-that ``strategy_value`` and the tests use.
+bits.  A ``GraphicGame`` carries three tables, each built on first use.
+``checks`` states each check once, keyed by those players and bits, for
+both exact solvers (the classical search and the quantum correlator
+polynomial), the simulator and the classifier's sharing test.  ``inputs``
+lists each input of nonzero weight with its weight and the keys of the
+checks that apply there, for the classical search, ``strategy_value``, the
+quantum evaluator, the target-game probe and the simulator's joint prior.
+``owners`` maps each owned vertex to its owners, for the pair model, the
+quantum wiring template and ``independence_number``.  ``evaluate_payoff``
+scores a round on its own, as the independent reference that
+``strategy_value`` and the tests use; a replayed round finds its checks
+with ``_keys_at`` instead of enumerating every input.
 
 Conventions used across the package: players are 1-based, inputs are bits,
 an input vector is a tuple of n bits, vertex identifiers are strings
 (integers are normalised to their decimal string), signs are the Python
 ints +1 and -1.  Every type is immutable after construction and every
-operation is a pure function, so concurrent use needs no locking: the check
-table is built on first use, and two threads racing on it only build equal
-tables.
+operation is a pure function, so concurrent use needs no locking: two
+threads racing on a table built on first use only build equal tables.
 """
 
 from __future__ import annotations
@@ -227,6 +232,21 @@ class GraphicGame:
                         parity = int(i <= m and xi == xj == 1)
                         table[(i, xi, j, xj)] = (((i, xi, region), (j, xj, region)), parity)
         return table
+
+    @cached_property
+    def inputs(self) -> tuple[tuple[tuple[int, ...], float, tuple[CheckKey, ...]], ...]:
+        """``(x, w, keys)`` per input ``x`` of nonzero weight ``w``, in input order, where ``keys``
+        are the keys of ``checks`` that apply at ``x``.  Enumerates all 2^n inputs on first use."""
+        return tuple((x, w, tuple(_keys_at(self, x))) for x, w in weighted_inputs(self.distribution, self.n))
+
+    @cached_property
+    def owners(self) -> dict[str, tuple[int, ...]]:
+        """Each owned vertex, in sorted order, mapped to its owners in ascending order."""
+        owners: dict[str, list[int]] = {}
+        for i in self.players:
+            for v in self.owned(i, 0) | self.owned(i, 1):
+                owners.setdefault(v, []).append(i)
+        return {v: tuple(owners[v]) for v in sorted(owners)}
 
 
 @dataclass(frozen=True)

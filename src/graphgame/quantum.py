@@ -44,10 +44,8 @@ from .model import (
     GraphGameError,
     GraphicGame,
     TargetPayoff,
-    _keys_at,
     _substream,
     bits_key,
-    weighted_inputs,
 )
 
 DEFAULT_PAIR_BUDGET = 12
@@ -112,22 +110,12 @@ class PairModel:
 
 
 def build_pair_model(game: GraphicGame, allow_multiway: bool = False) -> PairModel:
-    owners: dict[str, set[int]] = {}
-    for i in game.players:
-        for x in (0, 1):
-            for v in game.owned(i, x):
-                owners.setdefault(v, set()).add(i)
-    pairs = []
-    multiway = []
-    for v in sorted(owners):
-        who = sorted(owners[v])
-        if len(who) == 2:
-            pairs.append((v, who[0], who[1]))
-        elif len(who) >= 3:
-            multiway.append(v)
+    """The pairs and multiway vertices read off ``game.owners``."""
+    pairs = tuple((v, *who) for v, who in game.owners.items() if len(who) == 2)
+    multiway = tuple(v for v, who in game.owners.items() if len(who) >= 3)
     if multiway and not allow_multiway:
         raise MultiwaySharedVertexError(multiway)
-    return PairModel(pairs=tuple(pairs), multiway=tuple(multiway))
+    return PairModel(pairs=pairs, multiway=multiway)
 
 
 @dataclass(frozen=True)
@@ -217,14 +205,9 @@ def build_strategy(
     deterministically +1.
     """
     model = build_pair_model(game, allow_multiway=allow_multiway)
-    pair_owner = {v: (a, b) for v, a, b in model.pairs}
-    shared = set(pair_owner) | set(model.multiway)
-
-    designated: dict[frozenset[int], str] = {}
+    designated: dict[tuple[int, ...], str] = {}  # owner pair -> its smallest pair vertex
     for v, a, b in model.pairs:
-        key = frozenset((a, b))
-        if key not in designated or v < designated[key]:
-            designated[key] = v
+        designated.setdefault((a, b), v)
 
     angles: dict[tuple[int, str, int], float] = {}
     wiring: dict[tuple[int, int, str], OutputExpr] = {}
@@ -234,10 +217,8 @@ def build_strategy(
             refs_used: dict[str, int] = {}
             exprs: dict[str, OutputExpr] = {}
             for v in owned:
-                if v in pair_owner and i in pair_owner[v]:
-                    a, b = pair_owner[v]
-                    j = b if i == a else a
-                    ref = designated[frozenset((i, j))]
+                if len(game.owners[v]) == 2:
+                    ref = designated[game.owners[v]]
                     exprs[v] = OutputExpr(1, (ref,))
                     refs_used[ref] = refs_used.get(ref, 0) + 1
                 else:
@@ -245,7 +226,7 @@ def build_strategy(
             if i > game.m:
                 odd = tuple(sorted(r for r, c in refs_used.items() if c % 2))
                 if odd:
-                    slack = next((v for v in owned if v not in shared), None)
+                    slack = next((v for v in owned if len(game.owners[v]) == 1), None)
                     if slack is not None:
                         exprs[slack] = OutputExpr(1, odd)
             for v, expr in exprs.items():
@@ -350,8 +331,8 @@ class _Evaluator:
         coeffs: dict[tuple[tuple[int, int], ...], float] = {}
         answers = {key: (e.sign, e.refs) for key, e in strategy.wiring.items()}
         rows = _parity_constraints(game, answers, model.pairs)
-        for x, w in weighted_inputs(game.distribution, game.n):
-            basis = _echelon(rows[key] for key in _keys_at(game, x))
+        for x, w, keys in game.inputs:
+            basis = _echelon(rows[key] for key in keys)
             if basis is None:
                 continue
             full: list[tuple[tuple[int, int], int]] = []  # (slot pair, mask of both halves)
@@ -659,9 +640,9 @@ def target_quantum_probe(game: GraphicGame, options: OptimizeOptions | None = No
 
     players = range(game.n)
     images = [sorted(set(tables[i + 1].values())) for i in players]
-    weighted = weighted_inputs(game.distribution, game.n)
-    xs, w = map(np.array, zip(*weighted))
-    target = np.array([[images[i].index(tables[i + 1][bits_key(x)]) for i in players] for x, _ in weighted])
+    xs = np.array([x for x, _, _ in game.inputs])
+    w = np.array([w for _, w, _ in game.inputs])
+    target = np.array([[images[i].index(tables[i + 1][bits_key(x)]) for i in players] for x, _, _ in game.inputs])
     # tabs[i][b]: player i's image index at own input b, right on the best complementary pair.
     xstar = _best_complementary_pair(game.distribution, game.n)[0]
     pair_keys = (bits_key(xstar), bits_key([1 - b for b in xstar]))

@@ -53,7 +53,6 @@ from .model import (
     OutputAssignment,
     _keys_at,
     bits_key,
-    weighted_inputs,
 )
 from .quantum import (
     QuantumStrategy,
@@ -159,7 +158,7 @@ def _prepare(game: GraphicGame, config: SessionConfig) -> _Session:
         slices[(i, b)][v] = answer
     joint, input_draws = (), game.n
     if not isinstance(game.distribution, IIDDistribution):
-        joint = tuple((x, w) for x, w in weighted_inputs(game.distribution, game.n) if w > 0.0)
+        joint = tuple((x, w) for x, w, _ in game.inputs if w > 0.0)
         input_draws = 1
     width = 4 * -(-(input_draws + len(pairs)) // 4)
     return _Session(

@@ -6,8 +6,8 @@ one entangled pair and a whole-game statevector simulation of up to four,
 an enumeration of every measured-outcome tuple through the reference
 referee, a direct subset-enumeration of the sharing index, an ungrouped
 brute-force classical value, an exact-fraction response search and a
-table-by-table exhaustive value for target games, and tiny random-game and
-random-strategy generators for property tests.
+table-by-table exhaustive value for target games, and tiny random-game,
+random-prior and random-strategy generators for property tests.
 """
 
 from __future__ import annotations
@@ -274,6 +274,15 @@ def random_game(rng: np.random.Generator, max_vertices: int = 4) -> GraphicGame:
         distribution=IIDDistribution(0.5),
         payoff=ConsistencyPayoff(),
     )
+
+
+def random_joint_prior(rng, n):
+    """A random joint table with one input string at probability zero."""
+    keys = [bits_key(x) for x in input_vectors(n)]
+    weights = rng.uniform(0.2, 1.0, size=len(keys))
+    weights[rng.integers(len(keys))] = 0.0
+    weights /= weights.sum()
+    return JointDistribution(dict(zip(keys, weights.tolist())))
 
 
 def random_target_game(rng: np.random.Generator) -> GraphicGame:

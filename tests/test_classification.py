@@ -1,10 +1,17 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from graphgame import (
     COMMON_INTERSECTION,
     PAIRWISE_CLIQUE,
+    AssignmentMap,
+    ConsistencyPayoff,
+    Graph,
     GraphGameError,
+    GraphicGame,
+    IIDDistribution,
     classify,
     independence_number,
     players_sharing_with,
@@ -175,3 +182,23 @@ class TestIndependenceNumber:
     def test_budget(self):
         with pytest.raises(PlayerBudgetError):
             independence_number(games.star_game(4), budget=2)
+
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(31)
+        cases = [games.star_game(n1) for n1 in range(2, 7)] + [random_game(rng, max_vertices=6) for _ in range(40)]
+        for _ in range(40):  # 3-7 players, sparse random ownership
+            n = int(rng.integers(3, 8))
+            owned = {(i, x): [f"v{k}" for k in range(6) if rng.random() < 0.2] for i in range(1, n + 1) for x in (0, 1)}
+            cases.append(GraphicGame(Graph([f"v{k}" for k in range(6)]), n, 1, AssignmentMap(owned),
+                                     IIDDistribution(0.5), ConsistencyPayoff()))
+        for g in cases:
+            def shares(i, j):
+                return any(g.owned(i, a) & g.owned(j, b) for a in (0, 1) for b in (0, 1))
+
+            best = max(
+                len(players)
+                for size in range(g.n + 1)
+                for players in combinations(g.players, size)
+                if not any(shares(i, j) for i, j in combinations(players, 2))
+            )
+            assert independence_number(g) == best

@@ -150,6 +150,18 @@ class TestPipeline:
         assert report["error"] == f"no such file: {argv[1]}"
         assert "game_digest" not in report
 
+    @pytest.mark.parametrize("command", ["validate", "classify", "value", "simulate", "gyni"])
+    def test_unreadable_spec_exits_3(self, command, tmp_path):
+        argv = [command, str(tmp_path)]
+        argv += ["--strategy", str(tmp_path / "absent.strategy")] if command == "simulate" else []
+        code, text = run(*argv)
+        report = report_dict(text)
+        assert code == 3
+        assert ggio.validate_report(text) == []
+        assert report["status"] == "error"
+        assert report["error"].startswith("parse error: cannot read file: ")
+        assert "game_digest" not in report
+
 
 @pytest.mark.parametrize(
     "name", sorted(n for n, b in games.FIXTURES.items() if isinstance(b().payoff, ConsistencyPayoff))
@@ -390,6 +402,8 @@ class TestSimulate:
             ("vertex", ["v"]),
             ("input", 0.0),
             ("input", True),
+            ("sign", True),
+            ("sign", -1.0),
         ],
     )
     def test_malformed_strategy_file_exits_5(self, field, value, tmp_path):
@@ -431,6 +445,12 @@ class TestSimulate:
     def test_missing_strategy_exits_5(self):
         code, _ = run("simulate", fixture_path("chsh"), "--strategy", "/no/such/file")
         assert code == 5
+
+    def test_unreadable_strategy_exits_5(self, tmp_path):
+        code, text = run("simulate", fixture_path("chsh"), "--strategy", str(tmp_path))
+        assert code == 5
+        assert ggio.validate_report(text) == []
+        assert report_dict(text)["error"].startswith("bad strategy file: cannot read file: ")
 
     def test_mismatched_strategy_exits_5(self, tmp_path):
         _, witness = classical_value(games.star_game(3))

@@ -199,16 +199,17 @@ class TestStrategyFiles:
         assert again.angles == strategy.angles
         assert again.wiring == strategy.wiring
 
-    def test_bad_sign_rejected(self):
-        with pytest.raises(io.StrategyFileError):
-            io.parse_strategy(
-                json.dumps(
-                    {
-                        "kind": "deterministic",
-                        "signs": [{"player": 1, "input": 0, "vertex": "v1", "sign": 3}],
-                    }
-                )
-            )
+    @pytest.mark.parametrize("field", ["signs", "wiring"])
+    @pytest.mark.parametrize("value", ["3", "true", "-1.0", "1.0"])
+    def test_bad_sign_rejected(self, field, value):
+        if field == "signs":
+            _, strategy = classical_value(games.chsh_game())
+        else:
+            strategy, _ = build_strategy(games.chsh_game())
+        doc = json.loads(io.serialize_strategy(strategy))
+        doc[field][0]["sign"] = "@"
+        with pytest.raises(io.StrategyFileError, match="sign must be the integer 1 or -1"):
+            io.parse_strategy(json.dumps(doc).replace('"@"', value))
 
     @pytest.mark.parametrize("field", ["signs", "angles", "wiring"])
     @pytest.mark.parametrize("value", ["0.0", "1.0", "true", "false"])

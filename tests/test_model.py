@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 
@@ -22,10 +23,10 @@ from graphgame import (
     shared_region,
     validate_game,
 )
-from graphgame.model import AssignmentDomainError, DistributionError, TargetTableError
+from graphgame.model import AssignmentDomainError, DistributionError, TargetTableError, input_weight
 from graphgame import games
 
-from _oracles import random_assignment, random_game
+from _oracles import random_assignment, random_game, random_joint_prior
 
 
 def make_game(owned, n, m, vertices, p=0.5):
@@ -285,6 +286,39 @@ class TestRefereeChecks:
         # Each of the 65 leaves has a solo product at both inputs and a region
         # with the hub at all four input pairs.
         assert len(g.checks) == 65 * 2 + 65 * 4 == 390
+
+
+class TestCompiledTables:
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(29)
+        fixtures = [build() for build in games.FIXTURES.values()]
+        randoms = [random_game(rng, max_vertices=6) for _ in range(40)]
+        joint = [dataclasses.replace(g, distribution=random_joint_prior(rng, g.n)) for g in randoms[:20]]
+        return fixtures + randoms + joint
+
+    def test_tables_are_built_once_on_first_use(self):
+        g = games.star_game(3, 0.3)
+        assert "inputs" not in vars(g) and "owners" not in vars(g)
+        assert g.inputs is g.inputs
+        assert g.owners is g.owners
+
+    def test_inputs_match_an_independent_enumeration(self):
+        cases = self.cases()
+        assert any(0.0 in g.distribution.table.values() for g in cases if isinstance(g.distribution, JointDistribution))
+        for g in cases:
+            weighted = [(x, w) for x in input_vectors(g.n) if (w := input_weight(g.distribution, x)) != 0.0]
+            want = tuple(
+                (x, w, tuple(key for key in g.checks if (x[key[0] - 1], x[key[2] - 1]) == (key[1], key[3])))
+                for x, w in weighted
+            )
+            assert g.inputs == want
+
+    def test_owners_match_a_brute_count(self):
+        for g in self.cases():
+            vertices = sorted({v for verts in g.assignments.owned.values() for v in verts})
+            want = [(v, tuple(i for i in g.players if v in g.owned(i, 0) | g.owned(i, 1))) for v in vertices]
+            assert list(g.owners.items()) == want
 
 
 class TestTargetPayoff:

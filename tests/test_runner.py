@@ -30,7 +30,7 @@ from graphgame.model import bits_key, input_vectors, input_weight
 from graphgame.runner import _CHUNK, StrategyMismatchError, answer_quantum
 from graphgame import games
 
-from _oracles import random_game, random_quantum_strategy
+from _oracles import random_game, random_joint_prior, random_quantum_strategy
 
 
 def chsh_quantum_strategy():
@@ -122,15 +122,6 @@ def with_prior(game, distribution):
     )
 
 
-def random_joint_prior(rng, n):
-    """A random joint table with one input string at probability zero."""
-    keys = [bits_key(x) for x in input_vectors(n)]
-    weights = rng.uniform(0.2, 1.0, size=len(keys))
-    weights[rng.integers(len(keys))] = 0.0
-    weights /= weights.sum()
-    return JointDistribution(dict(zip(keys, weights.tolist())))
-
-
 def replayed_counts(game, config):
     """Per-input (plays, wins) summed over ``replay_round`` records."""
     counts = {}
@@ -195,6 +186,7 @@ class TestChunkedSessions:
         strategy, _ = build_strategy(g, allow_multiway=True)
         strategy = strategy.with_angles({k: float(rng.uniform(0.0, 2.0 * math.pi)) for k in strategy.angles})
         assert_session_matches_replays(g, SessionConfig(rounds=40, seed=46, strategy=strategy))
+        assert "inputs" not in vars(g)  # a session never enumerates the 2^66 inputs
 
     def test_prefix_property(self):
         g = games.star_game(4, 0.3)
