@@ -1,12 +1,4 @@
-"""Builders for the bundled example games.
-
-The star and chain builders describe entanglement networks: one vertex per
-shared pair, ownership independent of the input.  Star leaves get a private
-slack vertex so the total-product condition never pins their shared sign;
-without the slack the classical optimum of the skewed-prior star drops
-below the closed form, because a leaf owning a single vertex would be
-forced to answer +1 on it.
-"""
+"""Builders for the bundled example games; ``network_game`` builds any network of EPR pairs."""
 
 from __future__ import annotations
 
@@ -14,6 +6,7 @@ from .model import (
     AssignmentMap,
     ConsistencyPayoff,
     Graph,
+    GraphGameError,
     GraphicGame,
     IIDDistribution,
     InputDistribution,
@@ -43,28 +36,49 @@ def chsh_game(p: float = 0.5) -> GraphicGame:
     )
 
 
-def star_game(n1: int, p: float = 0.5) -> GraphicGame:
-    """Hub (player 1) sharing one vertex with each of ``n1 - 1`` leaves.
+def network_game(n: int, links: list[tuple[int, int, str]], m: int, p: float = 0.5) -> GraphicGame:
+    """The game of a network of EPR pairs: link ``(a, b, vertex)`` is a pair players a and b share.
 
-    Leaf ``j`` owns its shared vertex ``wj`` plus a private slack ``uj``,
-    all independent of the input.
+    Each player owns its links' vertices at both inputs, and each linked
+    player ``j > m`` a private slack ``u{j}`` too: without it, condition (a)
+    pins the player's shared sign, which erases the quantum gap.  No link
+    may lie inside the low block ``1..m``; ``validate_game`` checks ``p``
+    and ``m``.
     """
-    if n1 < 2:
-        raise ValueError("star needs at least one leaf (n1 >= 2)")
-    leaves = list(range(2, n1 + 1))
-    vertices = [f"w{j}" for j in leaves] + [f"u{j}" for j in leaves]
-    owned = {(1, x): [f"w{j}" for j in leaves] for x in (0, 1)}
-    for j in leaves:
-        for x in (0, 1):
-            owned[(j, x)] = [f"w{j}", f"u{j}"]
+    owned: dict[int, list[str]] = {i: [] for i in range(1, n + 1)}
+    names: set[str] = set()
+    for a, b, v in links:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise GraphGameError(f"link {v!r} joins players {a} and {b}, outside 1..{n}")
+        if a == b:
+            raise GraphGameError(f"link {v!r} joins player {a} to itself")
+        if max(a, b) <= m:
+            raise GraphGameError(f"link {v!r} joins players {a} and {b}, both in the low block 1..{m}")
+        if v in names:
+            raise GraphGameError(f"vertex {v!r} names two links")
+        names.add(v)
+        owned[a].append(v)
+        owned[b].append(v)
+    for j, verts in owned.items():
+        if j > m and verts:
+            if f"u{j}" in names:
+                raise GraphGameError(f"link vertex 'u{j}' is named like player {j}'s slack")
+            verts.append(f"u{j}")
     return GraphicGame(
-        graph=Graph(sorted(vertices)),
-        n=n1,
-        m=1,
-        assignments=AssignmentMap(owned),
+        graph=Graph(sorted({v for verts in owned.values() for v in verts})),
+        n=n,
+        m=m,
+        assignments=AssignmentMap({(i, x): verts for i, verts in owned.items() for x in (0, 1)}),
         distribution=IIDDistribution(p),
         payoff=ConsistencyPayoff(),
     )
+
+
+def star_game(n1: int, p: float = 0.5) -> GraphicGame:
+    """Hub (player 1) sharing a vertex ``wj`` with each leaf ``j`` in ``2..n1``."""
+    if n1 < 2:
+        raise ValueError("star needs at least one leaf (n1 >= 2)")
+    return network_game(n1, [(1, j, f"w{j}") for j in range(2, n1 + 1)], 1, p)
 
 
 def cube_game(n: int = 3, p: float = 0.5) -> GraphicGame:
@@ -88,31 +102,8 @@ def cube_game(n: int = 3, p: float = 0.5) -> GraphicGame:
 
 
 def chain_game(p: float = 0.5) -> GraphicGame:
-    """Four players in a line, one shared vertex per adjacent pair.
-
-    Players are numbered so the two non-adjacent ones come first (the low
-    block must be pairwise disjoint): 1 and 2 are the alternating stations
-    {A1, A3}, 3 and 4 are {A2, A4}.  The high-block stations carry a
-    private slack vertex each, for the same reason the star leaves do.
-    """
-    owned = {
-        (1, 0): ["e1"],
-        (1, 1): ["e1"],
-        (2, 0): ["e2", "e3"],
-        (2, 1): ["e2", "e3"],
-        (3, 0): ["e1", "e2", "u3"],
-        (3, 1): ["e1", "e2", "u3"],
-        (4, 0): ["e3", "u4"],
-        (4, 1): ["e3", "u4"],
-    }
-    return GraphicGame(
-        graph=Graph(["e1", "e2", "e3", "u3", "u4"]),
-        n=4,
-        m=2,
-        assignments=AssignmentMap(owned),
-        distribution=IIDDistribution(p),
-        payoff=ConsistencyPayoff(),
-    )
+    """Stations A1-A2-A3-A4 in a line; A1 and A3, which share no pair, are players 1 and 2."""
+    return network_game(4, [(1, 3, "e1"), (2, 3, "e2"), (2, 4, "e3")], 2, p)
 
 
 def shared_game(l: int = 3, s: int = 1, p: float = 0.5) -> GraphicGame:  # noqa: E741

@@ -51,6 +51,7 @@ from .model import (
     JointDistribution,
     TargetFunction,
     TargetPayoff,
+    is_sign,
 )
 from .quantum import OutputExpr, QuantumStrategy
 
@@ -328,7 +329,7 @@ def _strategy_entries(data: Mapping, field: str, keys: set[str], where: str) -> 
             raise StrategyFileError(f"{where} input must be 0 or 1")
         if not isinstance(entry["vertex"], str):
             raise StrategyFileError(f"{where} vertex must be a string")
-        if "sign" in keys and not (type(entry["sign"]) is int and entry["sign"] in (1, -1)):
+        if "sign" in keys and not is_sign(entry["sign"]):
             raise StrategyFileError(f"{where} sign must be the integer 1 or -1")
     return entries
 

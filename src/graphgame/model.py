@@ -73,6 +73,11 @@ class TargetTableError(GraphGameError):
 Sign = int
 
 
+def is_sign(s: object) -> bool:
+    """Whether ``s`` is the int +1 or -1; ``True``, ``-1.0`` and numpy integers are not."""
+    return type(s) is int and s in (1, -1)
+
+
 def _vertex_id(v) -> str:
     if isinstance(v, str):
         return v
@@ -447,7 +452,7 @@ def evaluate_payoff(game: GraphicGame, x: Sequence[int], assignment: OutputAssig
             f"assignment domain mismatch: missing={missing[:4]} extra={extra[:4]}"
         )
     for key, s in values.items():
-        if s not in (1, -1):
+        if not is_sign(s):
             raise AssignmentDomainError(f"sign for {key} must be +1 or -1, got {s!r}")
 
     ok = True

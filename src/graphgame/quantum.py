@@ -46,6 +46,7 @@ from .model import (
     TargetPayoff,
     _substream,
     bits_key,
+    is_sign,
 )
 
 DEFAULT_PAIR_BUDGET = 12
@@ -184,7 +185,7 @@ def validate_strategy(game: GraphicGame, strategy: QuantumStrategy, model: PairM
             )
         for v in owned:
             expr = strategy.wiring[(i, x, v)]
-            if expr.sign not in (1, -1):
+            if not is_sign(expr.sign):
                 raise StrategyError(f"wiring sign must be +1/-1 on {v!r}")
             for r in expr.refs:
                 if r not in measured[(i, x)]:

@@ -53,6 +53,7 @@ from .model import (
     OutputAssignment,
     _keys_at,
     bits_key,
+    is_sign,
 )
 from .quantum import (
     QuantumStrategy,
@@ -137,7 +138,7 @@ def _prepare(game: GraphicGame, config: SessionConfig) -> _Session:
         }
         if set(strategy.signs) != expected:
             raise StrategyMismatchError("deterministic signs do not cover the owned vertices")
-        if any(s not in (1, -1) for s in strategy.signs.values()):
+        if not all(map(is_sign, strategy.signs.values())):
             raise StrategyMismatchError("deterministic signs must be +1/-1")
         answers = {key: (s, ()) for key, s in strategy.signs.items()}
         angles, pairs = {}, ()

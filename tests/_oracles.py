@@ -7,7 +7,8 @@ an enumeration of every measured-outcome tuple through the reference
 referee, a direct subset-enumeration of the sharing index, an ungrouped
 brute-force classical value, an exact-fraction response search and a
 table-by-table exhaustive value for target games, and tiny random-game,
-random-prior and random-strategy generators for property tests.
+random-network, random-prior and random-strategy generators for property
+tests.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from graphgame import (
     TargetFunction,
     TargetPayoff,
 )
+from graphgame.games import network_game
 from graphgame.model import (
     OutputAssignment,
     bits_key,
@@ -274,6 +276,32 @@ def random_game(rng: np.random.Generator, max_vertices: int = 4) -> GraphicGame:
         distribution=IIDDistribution(0.5),
         payoff=ConsistencyPayoff(),
     )
+
+
+def random_network(rng: np.random.Generator) -> GraphicGame:
+    """A random connected network of 3-6 players, built by ``network_game``.
+
+    The links, named ``e1, e2, ...`` in a random order, are a random
+    spanning tree plus up to 2 extra links.  The low block is a random
+    nonempty independent set of the network, relabelled to players
+    ``1..m``.  The prior is iid with p drawn from 0.3, 0.5 and 0.7.
+    """
+    n = int(rng.integers(3, 7))
+    # Node k hangs off a random earlier node, which makes a random spanning tree.
+    edges = [(int(rng.integers(k)), k) for k in range(1, n)]
+    spare = [e for e in combinations(range(n), 2) if e not in edges]
+    edges += [spare[k] for k in rng.permutation(len(spare))[: int(rng.integers(3))]]
+    linked = set(edges) | {(b, a) for a, b in edges}
+    independent: list[int] = []
+    for a in rng.permutation(n).tolist():
+        if all((a, b) not in linked for b in independent):
+            independent.append(a)
+    low = independent[: int(rng.integers(1, len(independent) + 1))]
+    high = [a for a in rng.permutation(n).tolist() if a not in low]
+    label = {a: k for k, a in enumerate(low + high, 1)}
+    order = rng.permutation(len(edges)).tolist()
+    links = [(label[edges[k][0]], label[edges[k][1]], f"e{j}") for j, k in enumerate(order, 1)]
+    return network_game(n, links, len(low), float(rng.choice((0.3, 0.5, 0.7))))
 
 
 def random_joint_prior(rng, n):

@@ -10,21 +10,30 @@ from hypothesis import strategies as st
 from graphgame import (
     AssignmentMap,
     ConsistencyPayoff,
+    DeterministicStrategy,
     Graph,
     GraphGameError,
     GraphicGame,
     IIDDistribution,
     JointDistribution,
     OutputAssignment,
+    QuantumStrategy,
+    SessionConfig,
+    build_strategy,
+    classical_value,
     evaluate_payoff,
     evaluate_target_payoff,
     input_probability,
     input_vectors,
+    run_session,
     shared_region,
     validate_game,
 )
 from graphgame.model import AssignmentDomainError, DistributionError, TargetTableError, input_weight
 from graphgame import games
+from graphgame.io import StrategyFileError, _strategy_entries
+from graphgame.quantum import StrategyError, validate_strategy
+from graphgame.runner import StrategyMismatchError
 
 from _oracles import random_assignment, random_game, random_joint_prior
 
@@ -247,6 +256,42 @@ class TestEvaluatePayoff:
             assert all(
                 zi in (1, -1) and zj in (1, -1) for zi, zj in b.region_products.values()
             )
+
+
+class TestStrictSigns:
+    """A sign is the int +1 or -1: the referee, the quantum and simulator
+    strategy checks and the strategy-file reader each refuse look-alikes."""
+
+    BAD = [True, -1.0, np.int64(1)]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_referee(self, bad):
+        with pytest.raises(AssignmentDomainError, match="must be \\+1 or -1"):
+            evaluate_payoff(games.chsh_game(), (0, 0), OutputAssignment({(1, "v1"): bad, (2, "v1"): 1, (2, "v2"): 1}))
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_quantum_strategy(self, bad):
+        g = games.chsh_game()
+        strategy, model = build_strategy(g)
+        key = min(strategy.wiring)
+        wiring = {**strategy.wiring, key: dataclasses.replace(strategy.wiring[key], sign=bad)}
+        with pytest.raises(StrategyError, match="sign must be"):
+            validate_strategy(g, QuantumStrategy(angles=strategy.angles, wiring=wiring), model)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_simulated_strategy(self, bad):
+        g = games.chsh_game()
+        signs = dict(classical_value(g)[1].signs)
+        signs[min(signs)] = bad
+        config = SessionConfig(rounds=5, seed=1, strategy=DeterministicStrategy(signs=signs))
+        with pytest.raises(StrategyMismatchError, match="must be \\+1/-1"):
+            run_session(g, config)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_strategy_file_entry(self, bad):
+        data = {"signs": [{"player": 1, "input": 0, "vertex": "v1", "sign": bad}]}
+        with pytest.raises(StrategyFileError, match="sign must be the integer 1 or -1"):
+            _strategy_entries(data, "signs", {"player", "input", "vertex", "sign"}, "sign entry")
 
 
 class TestRefereeChecks:
